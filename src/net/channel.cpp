@@ -24,10 +24,7 @@ class Channel::DeliverySink final : public PacketSink {
 };
 
 Channel::Channel(TrafficControl& tc, std::string device)
-    : tc_{&tc}, device_{std::move(device)} {
-  // Materialize the default pfifo so `in_flight` is valid immediately.
-  tc_->root(device_);
-}
+    : tc_{&tc}, device_{std::move(device)}, root_{&tc_->root_slot(device_)} {}
 
 std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint now) {
   packet.id = next_id_++;
@@ -35,7 +32,7 @@ std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint 
   DirectionStats& s = mutable_stats(dir);
   ++s.packets_sent;
   s.bytes_sent += packet.effective_wire_size();
-  tc_->root(device_).enqueue(std::move(packet), now);
+  root().enqueue(std::move(packet), now);
   return next_id_ - 1;
 }
 
@@ -48,7 +45,7 @@ std::uint64_t Channel::send(LinkDirection dir, Payload payload, std::uint32_t wi
 }
 
 void Channel::step(util::TimePoint now) {
-  Qdisc& q = tc_->root(device_);
+  Qdisc& q = root();
   const auto next = q.next_event_at();
   if (!next || *next > now) return;
   DeliverySink sink{*this, now};
@@ -61,15 +58,13 @@ void Channel::deliver(Packet&& packet, util::TimePoint now) {
   DirectionStats& s = mutable_stats(dir);
   ++s.packets_delivered;
   s.total_latency += now - packet.enqueued_at;
-  inbox(dir).push_back(std::move(packet));
+  inbox(dir).push(std::move(packet));
 }
 
 std::optional<Packet> Channel::receive(LinkDirection dir) {
-  auto& box = inbox(dir);
+  Inbox& box = inbox(dir);
   if (box.empty()) return std::nullopt;
-  Packet p = std::move(box.front());
-  box.pop_front();
-  return p;
+  return box.pop();
 }
 
 bool Channel::has_pending(LinkDirection dir) const { return !inbox(dir).empty(); }
@@ -80,11 +75,11 @@ const DirectionStats& Channel::stats(LinkDirection dir) const {
   return dir == LinkDirection::kDownlink ? down_stats_ : up_stats_;
 }
 
-std::deque<Packet>& Channel::inbox(LinkDirection dir) {
+Channel::Inbox& Channel::inbox(LinkDirection dir) {
   return dir == LinkDirection::kDownlink ? to_operator_ : to_vehicle_;
 }
 
-const std::deque<Packet>& Channel::inbox(LinkDirection dir) const {
+const Channel::Inbox& Channel::inbox(LinkDirection dir) const {
   return dir == LinkDirection::kDownlink ? to_operator_ : to_vehicle_;
 }
 

@@ -14,12 +14,11 @@
 // without touching the queue while nothing can be released yet.
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "net/payload_pool.hpp"
 #include "net/tc.hpp"
+#include "util/drain_queue.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::net {
@@ -73,12 +72,10 @@ class Channel {
   TrafficControl& traffic_control() { return *tc_; }
 
   /// Packets still inside the qdisc (in flight).
-  std::size_t in_flight() const { return tc_->root(device_).backlog(); }
+  std::size_t in_flight() const { return root().backlog(); }
 
   /// Earliest instant the qdisc could release a packet; nullopt while idle.
-  std::optional<util::TimePoint> next_event_at() const {
-    return tc_->root(device_).next_event_at();
-  }
+  std::optional<util::TimePoint> next_event_at() const { return root().next_event_at(); }
 
   /// Lease a cleared payload buffer with capacity >= size_hint.
   Payload acquire_payload(std::size_t size_hint) { return pool_.acquire(size_hint); }
@@ -91,16 +88,20 @@ class Channel {
  private:
   class DeliverySink;
 
+  using Inbox = util::DrainQueue<Packet>;
+
   void deliver(Packet&& packet, util::TimePoint now);
-  std::deque<Packet>& inbox(LinkDirection dir);
-  const std::deque<Packet>& inbox(LinkDirection dir) const;
+  Qdisc& root() const { return **root_; }
+  Inbox& inbox(LinkDirection dir);
+  const Inbox& inbox(LinkDirection dir) const;
   DirectionStats& mutable_stats(LinkDirection dir);
 
   TrafficControl* tc_;
   std::string device_;
+  QdiscPtr* root_;  ///< the device's root slot, resolved once
   std::uint64_t next_id_{1};
-  std::deque<Packet> to_operator_;  ///< downlink deliveries
-  std::deque<Packet> to_vehicle_;   ///< uplink deliveries
+  Inbox to_operator_;  ///< downlink deliveries
+  Inbox to_vehicle_;   ///< uplink deliveries
   DirectionStats down_stats_;
   DirectionStats up_stats_;
   PayloadPool pool_;

@@ -26,8 +26,11 @@ class PayloadPool {
   };
 
   /// `max_per_bucket` bounds the buffers cached per size class, which caps
-  /// pool memory at roughly max_per_bucket * sum(bucket sizes).
-  explicit PayloadPool(std::size_t max_per_bucket = 64)
+  /// pool memory at roughly max_per_bucket * sum(bucket sizes). The default
+  /// covers a full stream window: a 92-segment video frame leaves the sender
+  /// as 92 DATA buffers and draws 92 ACK buffers within one router poll, and
+  /// a smaller cap would free the surplus only to allocate it again.
+  explicit PayloadPool(std::size_t max_per_bucket = 256)
       : max_per_bucket_{max_per_bucket} {}
 
   /// A cleared buffer with capacity >= size_hint (when size_hint fits the

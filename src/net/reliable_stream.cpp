@@ -34,7 +34,8 @@ ReliableStream::ReliableStream(PacketRouter& router, Channel& channel,
       channel_{&channel},
       stream_id_{stream_id},
       data_dir_{data_direction},
-      config_{config} {
+      config_{config},
+      rto_{compute_rto(0)} {
   router_->register_stream(
       stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
                          util::TimePoint now) { on_packet(h, body, via, now); });
@@ -59,59 +60,60 @@ std::uint32_t ReliableStream::send_message(Payload bytes, std::uint32_t declared
     seg.seg_count = seg_count;
     seg.message_wire_size = wire;
     seg.message_sent_us = static_cast<std::uint64_t>(now.count_micros());
-    const std::size_t lo = total * i / seg_count;
-    const std::size_t hi = total * (i + 1) / seg_count;
-    seg.chunk.assign(bytes.begin() + static_cast<std::ptrdiff_t>(lo),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(hi));
-    send_queue_.push_back(std::move(seg));
+    seg.lo = static_cast<std::uint32_t>(total * i / seg_count);
+    seg.hi = static_cast<std::uint32_t>(total * (i + 1) / seg_count);
+    send_queue_.push_back(seg);
   }
+  messages_.push_back(std::move(bytes));
   ++stats_.messages_sent;
   return message_id;
 }
 
-void ReliableStream::encode_data(ByteWriter& w, const Segment& seg) {
+void ReliableStream::encode_data(ByteWriter& w, const SegmentHeader& seg,
+                                 std::span<const std::uint8_t> chunk) {
   w.u32(seg.seq);
   w.u32(seg.message_id);
   w.u16(seg.seg_index);
   w.u16(seg.seg_count);
   w.u32(seg.message_wire_size);
   w.u64(seg.message_sent_us);
-  w.bytes(seg.chunk);
+  w.u32(static_cast<std::uint32_t>(chunk.size()));
+  w.raw(chunk.data(), chunk.size());
 }
 
-std::optional<ReliableStream::Segment> ReliableStream::decode_data(ByteReader& r) {
-  Segment seg;
-  seg.seq = r.u32();
-  seg.message_id = r.u32();
-  seg.seg_index = r.u16();
-  seg.seg_count = r.u16();
-  seg.message_wire_size = r.u32();
-  seg.message_sent_us = r.u64();
-  seg.chunk = r.bytes();
-  if (!r.ok() || seg.seg_count == 0 || seg.seg_index >= seg.seg_count) return std::nullopt;
+std::optional<ReliableStream::SegmentView> ReliableStream::decode_data(ByteReader& r) {
+  SegmentView seg;
+  SegmentHeader& h = seg.header;
+  h.seq = r.u32();
+  h.message_id = r.u32();
+  h.seg_index = r.u16();
+  h.seg_count = r.u16();
+  h.message_wire_size = r.u32();
+  h.message_sent_us = r.u64();
+  seg.chunk = r.bytes_view();
+  if (!r.ok() || h.seg_count == 0 || h.seg_index >= h.seg_count) return std::nullopt;
   return seg;
 }
 
-void ReliableStream::transmit_segment(const Segment& seg, util::TimePoint now,
+void ReliableStream::transmit_segment(InFlight& entry, util::TimePoint now,
                                       bool retransmission) {
-  // Frame the segment directly in a pooled buffer: header placeholder, DATA
-  // encoding, checksum back-patch — no intermediate body copy.
+  const Segment& seg = entry.segment;
+  const Payload& message = messages_[seg.message_id - first_unacked_message_];
+  const auto chunk =
+      std::span<const std::uint8_t>{message}.subspan(seg.lo, seg.hi - seg.lo);
+  // Frame the segment directly in a pooled buffer: header, then the DATA
+  // encoding — no intermediate body copy.
   ByteWriter w{channel_->acquire_payload(ProtocolHeader::kSize + kDataEncodingBytes +
-                                         seg.chunk.size())};
+                                         chunk.size())};
   ProtocolHeader::begin(w, stream_id_, SegmentType::kData);
-  encode_data(w, seg);
+  encode_data(w, seg, chunk);
   Packet p;
   p.payload = ProtocolHeader::finish(w);
   p.wire_size = seg.message_wire_size / seg.seg_count + config_.header_overhead;
   channel_->send(data_dir_, std::move(p), now);
 
-  auto [it, inserted] = in_flight_.try_emplace(seg.seq);
-  if (inserted) {
-    it->second.segment = seg;
-    it->second.first_sent = now;
-  }
-  it->second.last_sent = now;
-  ++it->second.transmissions;
+  entry.last_sent = now;
+  ++entry.transmissions;
   if (!retransmission) ++stats_.segments_sent;
   RDSIM_OBS_COUNT(obs::metric::kStreamSegmentsTx, 1);
   if (retransmission) {
@@ -120,47 +122,55 @@ void ReliableStream::transmit_segment(const Segment& seg, util::TimePoint now,
 }
 
 void ReliableStream::step(util::TimePoint now) {
-  // Transmit fresh segments while the window allows.
-  while (!send_queue_.empty() && in_flight_.size() < config_.window_segments) {
-    Segment seg = std::move(send_queue_.front());
+  // Transmit fresh segments while the window allows. Each moves from the
+  // send queue into the window, which then owns it until cumulatively ACKed.
+  while (!send_queue_.empty() && window_.size() < config_.window_segments) {
+    window_.push_back(
+        InFlight{.segment = std::move(send_queue_.front()), .first_sent = now});
     send_queue_.pop_front();
-    transmit_segment(seg, now, /*retransmission=*/false);
+    transmit_segment(window_.back(), now, /*retransmission=*/false);
   }
 
   // RTO: the timer runs on the earliest outstanding segment, per TCP. On
   // expiry we resend the head plus a small batch of other stale segments —
   // the practical effect of SACK-based recovery resuming after a timeout.
-  if (!in_flight_.empty()) {
-    const util::Duration rto = current_rto();
-    if (now - in_flight_.begin()->second.last_sent >= rto) {
+  if (!window_.empty()) {
+    if (now - window_.front().last_sent >= rto_) {
       int budget = 4;
-      for (auto& [seq, inflight] : in_flight_) {
+      for (InFlight& entry : window_) {
         if (budget == 0) break;
-        if (now - inflight.last_sent < rto) continue;
-        transmit_segment(inflight.segment, now, /*retransmission=*/true);
+        if (now - entry.last_sent < rto_) continue;
+        transmit_segment(entry, now, /*retransmission=*/true);
         --budget;
       }
       ++stats_.retransmits_rto;
       RDSIM_OBS_COUNT(obs::metric::kStreamRtoEvents, 1);
       rto_backoff_ = std::min(rto_backoff_ + 1, 3u);
+      rto_ = compute_rto(rto_backoff_);
     }
   } else {
-    rto_backoff_ = 0;
+    reset_backoff();
   }
 
   // Delayed ack timer.
   if (ack_pending_ && now >= ack_due_) send_ack(now);
 }
 
-util::Duration ReliableStream::current_rto() const {
+util::Duration ReliableStream::compute_rto(std::uint32_t backoff) const {
   util::Duration base = config_.rto_initial;
   if (rtt_valid_) {
     const units::Millis rto = srtt_ + units::Millis{std::max(4.0 * rttvar_.value(), 1.0)};
     base = rto.to_duration();
   }
   base = std::max(base, config_.rto_min);
-  for (std::uint32_t i = 0; i < rto_backoff_; ++i) base = base * 2;
+  for (std::uint32_t i = 0; i < backoff; ++i) base = base * 2;
   return std::min(base, config_.rto_max);
+}
+
+void ReliableStream::reset_backoff() {
+  if (rto_backoff_ == 0) return;
+  rto_backoff_ = 0;
+  rto_ = compute_rto(0);
 }
 
 void ReliableStream::update_rtt(util::Duration sample) {
@@ -175,8 +185,6 @@ void ReliableStream::update_rtt(util::Duration sample) {
                             0.25 * std::fabs(srtt_.value() - r.value())};
     srtt_ = 0.875 * srtt_ + 0.125 * r;
   }
-  stats_.srtt = srtt_;
-  stats_.rto = units::Millis::from_duration(current_rto());
 }
 
 void ReliableStream::on_packet(const ProtocolHeader& header, ByteReader body,
@@ -191,51 +199,30 @@ void ReliableStream::on_packet(const ProtocolHeader& header, ByteReader body,
 }
 
 void ReliableStream::on_data(ByteReader body, util::TimePoint now) {
-  auto seg = decode_data(body);
+  const auto seg = decode_data(body);
   if (!seg) return;
   RDSIM_OBS_COUNT(obs::metric::kStreamSegmentsRx, 1);
 
-  if (seg->seq < rcv_next_ || out_of_order_.count(seg->seq) != 0) {
+  const std::uint32_t seq = seg->header.seq;
+  if (seq < rcv_next_ || out_of_order_.count(seq) != 0) {
     // Duplicate (retransmission that raced the original, or netem duplicate).
     ++stats_.stale_segments;
     RDSIM_OBS_COUNT(obs::metric::kStreamStaleSegments, 1);
   } else {
-    last_data_ts_us_ = seg->message_sent_us;
-    out_of_order_.emplace(seg->seq, std::move(*seg));
-    // Absorb the contiguous prefix.
-    while (true) {
-      auto it = out_of_order_.find(rcv_next_);
-      if (it == out_of_order_.end()) break;
-      Segment s = std::move(it->second);
-      out_of_order_.erase(it);
-      ++rcv_next_;
-
-      auto [mit, _] = reassembly_.try_emplace(s.message_id);
-      PendingMessage& pm = mit->second;
-      pm.message_id = s.message_id;
-      pm.seg_count = s.seg_count;
-      pm.wire_size = s.message_wire_size;
-      pm.sent_us = s.message_sent_us;
-      pm.chunks.emplace(s.seg_index, std::move(s.chunk));
-    }
-    // Deliver complete messages in id order (stream order).
-    while (true) {
-      auto mit = reassembly_.find(next_deliver_message_);
-      if (mit == reassembly_.end() || !mit->second.complete()) break;
-      DeliveredMessage msg;
-      RDSIM_INVARIANT(mit->second.message_id == next_deliver_message_,
-                      "reliable stream must deliver message ids contiguously");
-      msg.message_id = mit->second.message_id;
-      msg.sent_at = util::TimePoint::from_micros(
-          static_cast<std::int64_t>(mit->second.sent_us));
-      msg.delivered_at = now;
-      for (auto& [idx, chunk] : mit->second.chunks) {
-        msg.bytes.insert(msg.bytes.end(), chunk.begin(), chunk.end());
+    last_data_ts_us_ = seg->header.message_sent_us;
+    if (seq == rcv_next_) {
+      // In order: straight from the packet into the message, then whatever
+      // was buffered behind the gap this segment closed.
+      absorb(seg->header, seg->chunk, now);
+      while (!out_of_order_.empty() && out_of_order_.begin()->first == rcv_next_) {
+        const auto it = out_of_order_.begin();
+        absorb(it->second, it->second.chunk, now);
+        out_of_order_.erase(it);
       }
-      reassembly_.erase(mit);
-      delivered_.push_back(std::move(msg));
-      ++next_deliver_message_;
-      ++stats_.messages_delivered;
+    } else {
+      // Ahead of a gap: the packet buffer is recycled, so keep a copy.
+      out_of_order_.emplace(
+          seq, HeldSegment{seg->header, Payload(seg->chunk.begin(), seg->chunk.end())});
     }
   }
 
@@ -247,6 +234,33 @@ void ReliableStream::on_data(ByteReader body, util::TimePoint now) {
     ack_pending_ = true;
     ack_due_ = now + config_.ack_delay;
   }
+}
+
+void ReliableStream::absorb(const SegmentHeader& header,
+                            std::span<const std::uint8_t> chunk, util::TimePoint now) {
+  ++rcv_next_;
+  RDSIM_INVARIANT(header.seg_index == pending_.received,
+                  "a message's segments must be absorbed in seg_index order");
+  if (pending_.received == 0) {
+    // Chunks are even slices, so none is longer than the first plus one byte.
+    pending_.bytes.reserve(std::size_t{header.seg_count} * (chunk.size() + 1));
+  }
+  pending_.bytes.insert(pending_.bytes.end(), chunk.begin(), chunk.end());
+  if (++pending_.received < header.seg_count) return;
+
+  // Complete: absorption runs in seq order, so messages complete in id order.
+  RDSIM_INVARIANT(header.message_id == next_deliver_message_,
+                  "reliable stream must deliver message ids contiguously");
+  DeliveredMessage msg;
+  msg.bytes = std::move(pending_.bytes);
+  msg.message_id = header.message_id;
+  msg.sent_at =
+      util::TimePoint::from_micros(static_cast<std::int64_t>(header.message_sent_us));
+  msg.delivered_at = now;
+  pending_ = PendingMessage{};
+  delivered_.push(std::move(msg));
+  ++next_deliver_message_;
+  ++stats_.messages_delivered;
 }
 
 void ReliableStream::update_hol_obs(util::TimePoint now) {
@@ -314,28 +328,44 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
     // accounting from here on.
     RDSIM_INVARIANT(cum_ack <= next_seq_,
                     "cumulative ACK must not exceed the highest sent sequence");
-    // New data acknowledged: clear in-flight prefix and sample RTT from any
-    // segment transmitted exactly once (Karn's algorithm).
-    for (auto it = in_flight_.begin(); it != in_flight_.end() && it->first < cum_ack;) {
-      if (it->second.transmissions == 1) update_rtt(now - it->second.first_sent);
-      it = in_flight_.erase(it);
+    // New data acknowledged: pop the window's acked prefix and sample RTT
+    // from any segment transmitted exactly once (Karn's algorithm).
+    bool sampled = false;
+    while (!window_.empty() && window_.front().segment.seq < cum_ack) {
+      const InFlight& acked = window_.front();
+      if (acked.transmissions == 1) {
+        update_rtt(now - acked.first_sent);
+        sampled = true;
+      }
+      if (acked.segment.seg_index + 1 == acked.segment.seg_count) {
+        // The message's last segment, so all of it is ACKed.
+        messages_.pop_front();
+        ++first_unacked_message_;
+      }
+      window_.pop_front();
+    }
+    if (sampled) {
+      // Reported with the backoff in force when the samples landed, i.e.
+      // before the reset below.
+      rto_ = compute_rto(rto_backoff_);
+      stats_.srtt = srtt_;
+      stats_.rto = units::Millis::from_duration(rto_);
     }
     last_cum_ack_ = cum_ack;
     dup_ack_count_ = 0;
-    rto_backoff_ = 0;
-  } else if (cum_ack == last_cum_ack_ && !in_flight_.empty()) {
+    reset_backoff();
+  } else if (cum_ack == last_cum_ack_ && !window_.empty()) {
     ++dup_ack_count_;
     ++stats_.dup_acks_seen;
     RDSIM_OBS_COUNT(obs::metric::kStreamDupAcks, 1);
     // Re-arm every three further duplicate ACKs so multiple losses within a
     // window still recover without waiting for the RTO (SACK-era TCP).
-    if (config_.fast_retransmit && dup_ack_count_ % 3 == 0) {
-      auto it = in_flight_.find(cum_ack);
-      if (it != in_flight_.end()) {
-        transmit_segment(it->second.segment, now, /*retransmission=*/true);
-        ++stats_.retransmits_fast;
-        RDSIM_OBS_COUNT(obs::metric::kStreamFastRetransmits, 1);
-      }
+    const std::uint32_t front_seq = window_.front().segment.seq;
+    if (config_.fast_retransmit && dup_ack_count_ % 3 == 0 && cum_ack >= front_seq &&
+        cum_ack - front_seq < window_.size()) {
+      transmit_segment(window_[cum_ack - front_seq], now, /*retransmission=*/true);
+      ++stats_.retransmits_fast;
+      RDSIM_OBS_COUNT(obs::metric::kStreamFastRetransmits, 1);
     }
   }
 
@@ -345,17 +375,18 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
   // serial RTOs (this is what keeps sustained-loss links usable).
   if (sack_count > 0 && config_.fast_retransmit) {
     const std::uint32_t max_sack = *std::max_element(sacks_begin, sacks_end);
-    const util::Duration hold_off = current_rto() / 2;
+    const util::Duration hold_off = rto_ / 2;
     int budget = 4;
-    for (auto& [seq, inflight] : in_flight_) {
+    for (InFlight& entry : window_) {
+      const std::uint32_t seq = entry.segment.seq;
       if (seq >= max_sack || budget == 0) break;
       if (std::find(sacks_begin, sacks_end, seq) != sacks_end) {
         // Keep SACKed segments from driving the RTO timer.
-        inflight.last_sent = std::max(inflight.last_sent, now);
+        entry.last_sent = std::max(entry.last_sent, now);
         continue;
       }
-      if (now - inflight.last_sent < hold_off) continue;
-      transmit_segment(inflight.segment, now, /*retransmission=*/true);
+      if (now - entry.last_sent < hold_off) continue;
+      transmit_segment(entry, now, /*retransmission=*/true);
       ++stats_.retransmits_fast;
       RDSIM_OBS_COUNT(obs::metric::kStreamFastRetransmits, 1);
       --budget;
@@ -365,9 +396,7 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
 
 std::optional<DeliveredMessage> ReliableStream::pop_delivered() {
   if (delivered_.empty()) return std::nullopt;
-  DeliveredMessage msg = std::move(delivered_.front());
-  delivered_.pop_front();
-  return msg;
+  return delivered_.pop();
 }
 
 }  // namespace rdsim::net

@@ -24,9 +24,11 @@
 
 #include <deque>
 #include <map>
+#include <span>
 
 #include "net/router.hpp"
 #include "obs/metrics.hpp"
+#include "util/drain_queue.hpp"
 #include "util/units.hpp"
 
 namespace rdsim::net {
@@ -94,21 +96,39 @@ class ReliableStream {
   std::optional<DeliveredMessage> pop_delivered();
 
   const StreamStats& stats() const { return stats_; }
-  std::size_t unacked_segments() const { return in_flight_.size(); }
+  std::size_t unacked_segments() const { return window_.size(); }
   std::size_t send_backlog() const { return send_queue_.size(); }
   const StreamConfig& config() const { return config_; }
   /// Highest cumulative ACK the sender has seen (monotone non-decreasing).
   std::uint32_t last_cum_ack() const { return last_cum_ack_; }
 
  private:
-  struct Segment {
+  /// The fixed fields of a DATA segment.
+  struct SegmentHeader {
     std::uint32_t seq{0};
     std::uint32_t message_id{0};
     std::uint16_t seg_index{0};
     std::uint16_t seg_count{0};
     std::uint32_t message_wire_size{0};
     std::uint64_t message_sent_us{0};
+  };
+
+  /// A segment as the sender keeps it: its chunk is the byte range
+  /// [lo, hi) of its message, which messages_ stores once.
+  struct Segment : SegmentHeader {
+    std::uint32_t lo{0};
+    std::uint32_t hi{0};
+  };
+
+  /// A segment received ahead of a gap, with its own copy of the chunk.
+  struct HeldSegment : SegmentHeader {
     Payload chunk;
+  };
+
+  /// A received DATA segment whose chunk views the packet payload.
+  struct SegmentView {
+    SegmentHeader header;
+    std::span<const std::uint8_t> chunk;
   };
 
   struct InFlight {
@@ -118,26 +138,29 @@ class ReliableStream {
     std::uint32_t transmissions{0};
   };
 
+  /// The one message being reassembled. Segments are absorbed in seq order
+  /// and a message's segments have consecutive seqs, so at most one message
+  /// is ever partial and its chunks arrive in seg_index order.
   struct PendingMessage {
-    std::uint32_t message_id{0};
-    std::uint16_t seg_count{0};
-    std::uint32_t wire_size{0};
-    std::uint64_t sent_us{0};
-    std::map<std::uint16_t, Payload> chunks;
-    bool complete() const { return chunks.size() == seg_count; }
+    Payload bytes;
+    std::uint16_t received{0};  ///< segments absorbed so far; 0 = none pending
   };
 
   void on_packet(const ProtocolHeader& header, ByteReader body, LinkDirection via,
                  util::TimePoint now);
   void on_data(ByteReader body, util::TimePoint now);
+  void absorb(const SegmentHeader& header, std::span<const std::uint8_t> chunk,
+              util::TimePoint now);
   void update_hol_obs(util::TimePoint now);
   void on_ack(ByteReader body, util::TimePoint now);
-  void transmit_segment(const Segment& seg, util::TimePoint now, bool retransmission);
+  void transmit_segment(InFlight& entry, util::TimePoint now, bool retransmission);
   void send_ack(util::TimePoint now);
   void update_rtt(util::Duration sample);
-  util::Duration current_rto() const;
-  static void encode_data(ByteWriter& w, const Segment& seg);
-  static std::optional<Segment> decode_data(ByteReader& r);
+  void reset_backoff();
+  util::Duration compute_rto(std::uint32_t backoff) const;
+  static void encode_data(ByteWriter& w, const SegmentHeader& seg,
+                          std::span<const std::uint8_t> chunk);
+  static std::optional<SegmentView> decode_data(ByteReader& r);
 
   PacketRouter* router_;
   Channel* channel_;
@@ -148,21 +171,31 @@ class ReliableStream {
   // Sender state.
   std::uint32_t next_seq_{0};
   std::uint32_t next_message_id_{0};
-  std::deque<Segment> send_queue_;           ///< not yet transmitted
-  std::map<std::uint32_t, InFlight> in_flight_;  ///< seq -> unacked segment
+  std::deque<Segment> send_queue_;  ///< not yet transmitted
+  /// Bytes of each message not yet fully ACKed, in id order: messages_[i]
+  /// is message first_unacked_message_ + i.
+  std::deque<Payload> messages_;
+  std::uint32_t first_unacked_message_{0};
+  /// Unacked segments: always the contiguous seq range [last_cum_ack_, next
+  /// transmitted), so window_[i] holds seq last_cum_ack_ + i.
+  std::deque<InFlight> window_;
   std::uint32_t last_cum_ack_{0};
   std::uint32_t dup_ack_count_{0};
   std::uint32_t rto_backoff_{0};
   units::Millis srtt_{};
   units::Millis rttvar_{};
   bool rtt_valid_{false};
+  /// compute_rto(rto_backoff_), refreshed whenever the RTT estimate or the
+  /// backoff changes.
+  util::Duration rto_{};
 
   // Receiver state.
-  std::uint32_t rcv_next_{0};                        ///< next expected seq
-  std::map<std::uint32_t, Segment> out_of_order_;    ///< seq -> buffered
-  std::map<std::uint32_t, PendingMessage> reassembly_;
+  std::uint32_t rcv_next_{0};  ///< next expected seq
+  /// seq -> segment that arrived ahead of a gap
+  std::map<std::uint32_t, HeldSegment> out_of_order_;
+  PendingMessage pending_;
   std::uint32_t next_deliver_message_{0};
-  std::deque<DeliveredMessage> delivered_;
+  util::DrainQueue<DeliveredMessage> delivered_;
   bool ack_pending_{false};
   util::TimePoint ack_due_{};
   std::uint64_t last_data_ts_us_{0};

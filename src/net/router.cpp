@@ -5,39 +5,15 @@
 
 namespace rdsim::net {
 
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size, std::uint32_t seed) {
-  std::uint32_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
-
-namespace {
-
-/// Checksum over everything the header protects: stream id, type, body —
-/// like the TCP checksum, any single corrupted bit invalidates the packet.
-/// The protected prefix {stream lo, stream hi, type} is exactly the first
-/// three serialized header bytes, so a sealed packet can be verified (and
-/// back-patched) straight from its buffer.
-std::uint32_t packet_checksum(const std::uint8_t* packet, std::size_t size) {
-  const std::uint32_t h = fnv1a(packet, ProtocolHeader::kChecksumOffset);
-  return fnv1a(packet + ProtocolHeader::kSize, size - ProtocolHeader::kSize, h);
-}
-
-}  // namespace
-
 void ProtocolHeader::begin(ByteWriter& w, std::uint16_t stream_id, SegmentType type) {
   RDSIM_REQUIRE(w.size() == 0, "ProtocolHeader::begin expects an empty writer");
   w.u16(stream_id);
   w.u8(static_cast<std::uint8_t>(type));
-  w.u32(0);  // checksum placeholder, patched by finish()
+  w.u32(0);  // checksum: reserved, see the header comment
 }
 
 Payload ProtocolHeader::finish(ByteWriter& w) {
   RDSIM_REQUIRE(w.size() >= kSize, "ProtocolHeader::finish before begin");
-  w.patch_u32(kChecksumOffset, packet_checksum(w.data().data(), w.size()));
   return w.take();
 }
 
@@ -55,11 +31,6 @@ std::optional<PacketView> open_packet_view(const Payload& packet_payload) {
   PacketView view;
   view.header.stream_id = r.u16();
   const std::uint8_t type = r.u8();
-  const std::uint32_t checksum = r.u32();
-  if (!r.ok()) return std::nullopt;
-  if (packet_checksum(packet_payload.data(), packet_payload.size()) != checksum) {
-    return std::nullopt;
-  }
   if (type > static_cast<std::uint8_t>(SegmentType::kDatagram)) return std::nullopt;
   view.header.type = static_cast<SegmentType>(type);
   view.body = ByteReader{packet_payload.data() + ProtocolHeader::kSize,
@@ -77,8 +48,19 @@ std::optional<ParsedPacket> open_packet(const Payload& packet_payload) {
   return parsed;
 }
 
+PacketRouter::Handler* PacketRouter::handler_for(std::uint16_t stream_id) {
+  for (auto& [id, handler] : handlers_) {
+    if (id == stream_id) return &handler;
+  }
+  return nullptr;
+}
+
 void PacketRouter::register_stream(std::uint16_t stream_id, Handler handler) {
-  handlers_[stream_id] = std::move(handler);
+  if (Handler* existing = handler_for(stream_id)) {
+    *existing = std::move(handler);
+  } else {
+    handlers_.emplace_back(stream_id, std::move(handler));
+  }
 }
 
 void PacketRouter::poll(util::TimePoint now) {
@@ -89,13 +71,14 @@ void PacketRouter::poll(util::TimePoint now) {
 
 void PacketRouter::drain(LinkDirection dir, util::TimePoint now) {
   while (auto packet = channel_->receive(dir)) {
-    if (const auto view = open_packet_view(packet->payload); !view) {
+    const auto view =
+        packet->corrupted ? std::nullopt : open_packet_view(packet->payload);
+    if (!view) {
       ++checksum_failures_;
-    } else if (const auto it = handlers_.find(view->header.stream_id);
-               it == handlers_.end()) {
-      ++unroutable_;
+    } else if (Handler* handler = handler_for(view->header.stream_id)) {
+      (*handler)(view->header, view->body, dir, now);
     } else {
-      it->second(view->header, view->body, dir, now);
+      ++unroutable_;
     }
     // The view above reads from packet->payload; recycle only after handling.
     channel_->recycle(std::move(packet->payload));

@@ -4,11 +4,15 @@
 // Both endpoints' inboxes carry mixed traffic (the video stream's DATA and
 // the command stream's ACKs both arrive at the operator, for instance), so
 // every protocol packet starts with a common header:
-//   u16 stream_id | u8 type | u32 checksum-of-rest
-// The checksum models the TCP checksum: packets damaged by the corrupt
-// qdisc fail verification and are treated as lost, which reproduces the
-// paper's observation (§V.C) that corruption faults have no distinct
-// user-visible effect under a reliable transport.
+//   u16 stream_id | u8 type | u32 checksum (reserved, written as zero)
+// The TCP checksum is modelled by the Packet::corrupted flag: netem sets it
+// on exactly the packets whose bit it flips, and the router drops those as
+// lost, which reproduces the paper's observation (§V.C) that corruption
+// faults have no distinct user-visible effect under a reliable transport.
+// A real checksum over the bytes would make the same decisions (any single
+// flipped bit fails it) at a per-byte cost, so the header only keeps the
+// four bytes, which keeps wire sizes, and netem's choice of which byte to
+// flip, unchanged.
 //
 // Parsing is zero-copy: handlers receive a bounds-checked ByteReader view
 // into the packet payload instead of an owning copy of the body, and the
@@ -18,7 +22,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "net/channel.hpp"
 #include "net/serialization.hpp"
@@ -28,51 +33,45 @@ namespace rdsim::net {
 
 enum class SegmentType : std::uint8_t { kData = 0, kAck = 1, kDatagram = 2 };
 
-/// FNV-1a over a byte range; the protocol's checksum primitive. Pass a
-/// previous result as `seed` to continue hashing across discontiguous ranges.
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size,
-                    std::uint32_t seed = 2166136261u);
-
 /// Common header helpers shared by the transports.
 struct ProtocolHeader {
   std::uint16_t stream_id{0};
   SegmentType type{SegmentType::kData};
 
   static constexpr std::size_t kSize = 2 + 1 + 4;  // stream, type, checksum
-  static constexpr std::size_t kChecksumOffset = 3;
 
-  /// In-place framing for pooled buffers: begin() writes the header with a
-  /// zero checksum placeholder, the caller appends the body to the same
-  /// writer, and finish() back-patches the checksum and releases the buffer.
-  /// Byte-for-byte identical to seal() without the intermediate body copy.
+  /// In-place framing for pooled buffers: begin() writes the header, the
+  /// caller appends the body to the same writer, and finish() releases the
+  /// buffer. Byte-for-byte identical to seal() without the intermediate
+  /// body copy.
   static void begin(ByteWriter& w, std::uint16_t stream_id, SegmentType type);
   static Payload finish(ByteWriter& w);
 
-  /// Serialize header + body, computing the checksum over `body`.
+  /// Serialize header + body.
   static Payload seal(std::uint16_t stream_id, SegmentType type, const Payload& body);
 };
 
-/// Result of parsing and verifying a raw packet payload.
+/// Result of parsing a raw packet payload.
 struct ParsedPacket {
   ProtocolHeader header;
   Payload body;
 };
 
-/// A verified packet viewed in place: `body` reads directly from the packet
+/// A parsed packet viewed in place: `body` reads directly from the packet
 /// payload and is valid only while that payload is alive.
 struct PacketView {
   ProtocolHeader header;
   ByteReader body;
 };
 
-/// Parse and verify without copying; nullopt on checksum failure/truncation.
+/// Parse without copying; nullopt on truncation or an unknown type.
 std::optional<PacketView> open_packet_view(const Payload& packet_payload);
 
-/// Parse and verify; returns an owning copy of the body on success, nullopt
-/// on a checksum failure or truncation. Prefer open_packet_view on hot paths.
+/// Parse; returns an owning copy of the body on success, nullopt on
+/// truncation or an unknown type. Prefer open_packet_view on hot paths.
 std::optional<ParsedPacket> open_packet(const Payload& packet_payload);
 
-/// Polls a channel and routes verified packets to registered streams.
+/// Polls a channel and routes intact packets to registered streams.
 class PacketRouter {
  public:
   explicit PacketRouter(Channel& channel) : channel_{&channel} {}
@@ -82,11 +81,12 @@ class PacketRouter {
   using Handler = std::function<void(const ProtocolHeader&, ByteReader body,
                                      LinkDirection arrived_via, util::TimePoint now)>;
 
+  /// Registering a stream id again replaces its handler.
   void register_stream(std::uint16_t stream_id, Handler handler);
 
-  /// Steps the channel, then drains both inboxes. Packets failing checksum
-  /// verification are counted and dropped. Payload buffers are recycled to
-  /// the channel pool once handled.
+  /// Steps the channel, then drains both inboxes. Corrupted packets (the
+  /// modelled checksum failure) and malformed ones are counted and dropped.
+  /// Payload buffers are recycled to the channel pool once handled.
   void poll(util::TimePoint now);
 
   std::uint64_t checksum_failures() const { return checksum_failures_; }
@@ -95,9 +95,11 @@ class PacketRouter {
 
  private:
   void drain(LinkDirection dir, util::TimePoint now);
+  Handler* handler_for(std::uint16_t stream_id);
 
   Channel* channel_;
-  std::map<std::uint16_t, Handler> handlers_;
+  /// (stream id, handler), scanned linearly: a session registers two.
+  std::vector<std::pair<std::uint16_t, Handler>> handlers_;
   std::uint64_t checksum_failures_{0};
   std::uint64_t unroutable_{0};
 };

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,6 @@ class ByteWriter {
   }
   /// Append raw bytes without a length prefix.
   void raw(const std::uint8_t* p, std::size_t n) { append(p, n); }
-
-  /// Overwrite 4 already-written bytes at `offset` (for checksum back-patching).
-  void patch_u32(std::size_t offset, std::uint32_t v) {
-    std::memcpy(buf_.data() + offset, &v, sizeof v);
-  }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -88,14 +84,21 @@ class ByteReader {
   }
 
   std::vector<std::uint8_t> bytes() {
+    const auto view = bytes_view();
+    return {view.begin(), view.end()};
+  }
+
+  /// Length-prefixed blob viewed in place: no copy, valid only while the
+  /// underlying buffer lives. Empty (and ok() false) on truncation.
+  std::span<const std::uint8_t> bytes_view() {
     const std::uint32_t n = u32();
     if (!ok_ || remaining() < n) {
       ok_ = false;
       return {};
     }
-    std::vector<std::uint8_t> b(buf_ + pos_, buf_ + pos_ + n);
+    const std::span<const std::uint8_t> view{buf_ + pos_, n};
     pos_ += n;
-    return b;
+    return view;
   }
 
  private:

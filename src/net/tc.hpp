@@ -69,6 +69,11 @@ class TrafficControl {
   /// Root qdisc for `device`; a default pfifo is created on first use.
   Qdisc& root(const std::string& device);
 
+  /// The slot holding `device`'s root qdisc (created as for root()). Its
+  /// address is stable for this object's lifetime: add / change / del swap
+  /// the pointee, never the slot, so a hot path can resolve it once.
+  QdiscPtr& root_slot(const std::string& device) { return entry(device).qdisc; }
+
   /// Earliest instant the root qdisc on `device` could release a packet;
   /// nullopt while it is empty. Lets callers skip dequeue work entirely
   /// between events instead of polling every tick.
@@ -94,9 +99,7 @@ class TrafficControl {
 
   std::uint64_t seed_;
   std::uint64_t next_stream_{0};
-  std::map<std::string, Entry> table_;
-
-  friend class LinkEmulator;
+  std::map<std::string, Entry> table_;  ///< node-based: entries never move
 };
 
 }  // namespace rdsim::net

@@ -1,6 +1,9 @@
 // Channel, router and checksum semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/router.hpp"
 #include "net/tbf.hpp"
 
@@ -72,17 +75,12 @@ TEST(ProtocolHeader, SealAndOpenRoundTrip) {
   EXPECT_EQ(parsed->body, body);
 }
 
-TEST(ProtocolHeader, DetectsCorruption) {
-  Payload sealed = ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4});
-  sealed[ProtocolHeader::kSize + 1] ^= 0x10;  // flip a payload bit
+TEST(ProtocolHeader, RejectsTruncatedPacket) {
+  EXPECT_FALSE(open_packet({1, 2}).has_value());
+  Payload sealed = ProtocolHeader::seal(1, SegmentType::kData, {});
+  EXPECT_TRUE(open_packet(sealed).has_value());
+  sealed.pop_back();
   EXPECT_FALSE(open_packet(sealed).has_value());
-}
-
-TEST(ProtocolHeader, DetectsHeaderDamage) {
-  Payload sealed = ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4});
-  sealed[3] ^= 0x01;  // flip a checksum bit
-  EXPECT_FALSE(open_packet(sealed).has_value());
-  EXPECT_FALSE(open_packet({1, 2}).has_value());  // truncated
 }
 
 TEST(PacketRouter, RoutesByStreamId) {
@@ -107,23 +105,94 @@ TEST(PacketRouter, RoutesByStreamId) {
   EXPECT_EQ(router.unroutable(), 1u);
 }
 
+/// The body of corruption-test packet `i`: distinct per packet, so a
+/// delivered body identifies its packet.
+Payload corruption_probe_body(int i) {
+  return {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8), 0xa5, 0x5a,
+          0x0f, 0xf0, 0x33, 0xcc};
+}
+
 TEST(PacketRouter, DropsCorruptedPacketsLikeTcpChecksum) {
-  // A corrupt qdisc plus the router checksum turns corruption into loss —
-  // the §V.C observation that corruption has no distinct user-visible effect.
-  TrafficControl tc;
-  Channel ch{tc, "lo"};
-  PacketRouter router{ch};
-  int delivered = 0;
-  router.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection,
-                                TimePoint) { ++delivered; });
-  tc.add("lo", parse_netem("corrupt 100%"));
-  for (int i = 0; i < 50; ++i) {
-    ch.send(LinkDirection::kDownlink,
-            ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4, 5}), 10, TimePoint{});
+  // A corrupt qdisc plus the router's checksum model turns corruption into
+  // loss — the §V.C observation that corruption has no distinct
+  // user-visible effect. The model is the Packet::corrupted flag; no
+  // corrupted packet may reach a handler, wherever its flipped bit landed.
+  constexpr int kPackets = 300;
+  std::vector<Payload> sealed;
+  for (int i = 0; i < kPackets; ++i) {
+    sealed.push_back(
+        ProtocolHeader::seal(1, SegmentType::kData, corruption_probe_body(i)));
   }
-  router.poll(TimePoint{});
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(router.checksum_failures(), 50u);
+  // Where netem's flipped bits landed, over all seeds.
+  int header_flips = 0;
+  int checksum_flips = 0;
+  int body_flips = 0;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const NetemConfig corrupt_half = parse_netem("corrupt 50%");
+
+    // Pass 1, channel only: which packets netem damages, and where. The
+    // same seed and send sequence make pass 2 damage the same packets.
+    std::vector<bool> damaged;
+    {
+      TrafficControl tc{seed};
+      Channel ch{tc, "lo"};
+      tc.add("lo", corrupt_half);
+      for (const Payload& p : sealed) {
+        ch.send(LinkDirection::kDownlink, p, 10, TimePoint{});
+      }
+      ch.step(TimePoint{});
+      while (auto got = ch.receive(LinkDirection::kDownlink)) {
+        const Payload& original = sealed[damaged.size()];
+        const auto diff = std::mismatch(original.begin(), original.end(),
+                                        got->payload.begin());
+        EXPECT_EQ(got->corrupted, diff.first != original.end())
+            << "the flag must mark exactly the packets whose bytes changed";
+        if (got->corrupted) {
+          const auto at = static_cast<std::size_t>(diff.first - original.begin());
+          // Bytes 0-2 are stream id and type, then the 4 checksum bytes.
+          int& region = at < 3                        ? header_flips
+                        : at < ProtocolHeader::kSize ? checksum_flips
+                                                     : body_flips;
+          ++region;
+        }
+        damaged.push_back(got->corrupted);
+      }
+      ASSERT_EQ(damaged.size(), sealed.size());
+    }
+
+    // Pass 2, through the router: exactly the undamaged packets arrive.
+    TrafficControl tc{seed};
+    Channel ch{tc, "lo"};
+    PacketRouter router{ch};
+    std::vector<Payload> delivered;
+    router.register_stream(1, [&](const ProtocolHeader& h, ByteReader body, LinkDirection,
+                                  TimePoint) {
+      EXPECT_EQ(h.type, SegmentType::kData);
+      Payload bytes(body.remaining());
+      for (auto& b : bytes) b = body.u8();
+      delivered.push_back(std::move(bytes));
+    });
+    tc.add("lo", corrupt_half);
+    for (const Payload& p : sealed) {
+      ch.send(LinkDirection::kDownlink, p, 10, TimePoint{});
+    }
+    router.poll(TimePoint{});
+
+    std::vector<Payload> intact;
+    for (int i = 0; i < kPackets; ++i) {
+      if (!damaged[static_cast<std::size_t>(i)]) {
+        intact.push_back(corruption_probe_body(i));
+      }
+    }
+    EXPECT_EQ(delivered, intact) << "seed " << seed;
+    EXPECT_GT(router.checksum_failures(), 0u);
+    EXPECT_EQ(router.checksum_failures(), tc.root("lo").stats().corrupted)
+        << "seed " << seed;
+    EXPECT_EQ(router.unroutable(), 0u);
+  }
+  EXPECT_GT(header_flips, 0);
+  EXPECT_GT(checksum_flips, 0);
+  EXPECT_GT(body_flips, 0);
 }
 
 TEST(Tbf, EnforcesSustainedRate) {

@@ -1,6 +1,11 @@
 // TCP-analogue semantics: ordering, retransmission, head-of-line blocking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "net/reliable_stream.hpp"
 
 namespace rdsim::net {
@@ -201,6 +206,150 @@ TEST_F(StreamFixture, BidirectionalFaultHitsAcks) {
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(500));
   EXPECT_GE(stream.stats().srtt.value(), 190.0);
+}
+
+/// One stream on its own seeded link, stepped on a fixed grid as the
+/// teleop loop does: router poll, then stream step.
+struct SeededStream {
+  SeededStream(std::uint64_t seed, StreamConfig cfg)
+      : tc{seed}, channel{tc, "lo"}, router{channel},
+        stream{router, channel, 1, LinkDirection::kDownlink, cfg} {}
+
+  void tick(Duration dt) {
+    now += dt;
+    router.poll(now);
+    stream.step(now);
+  }
+
+  TrafficControl tc;
+  Channel channel;
+  PacketRouter router;
+  ReliableStream stream;
+  TimePoint now;
+};
+
+TEST(ReliableStreamProperties, ReorderDuplicateLossDeliversEveryMessageIntact) {
+  // Reordering puts segments ahead of gaps (the out-of-order buffer),
+  // duplicates exercise the stale path, and loss forces retransmissions
+  // that close the gaps; none of it may change what the application sees.
+  for (const std::uint64_t seed : {3ull, 17ull, 29ull}) {
+    StreamConfig cfg;
+    cfg.mtu = 1000;
+    SeededStream s{seed, cfg};
+    s.tc.add("lo", parse_netem("delay 20ms reorder 25% gap 5 duplicate 5% loss 2%"));
+
+    std::vector<Payload> sent;
+    for (int i = 0; i < 150; ++i) {
+      // 1..12 segments each; every segment carries some real bytes.
+      const auto segments = static_cast<std::uint32_t>(1 + i % 12);
+      Payload msg(segments * 37 + static_cast<std::size_t>(i % 5));
+      for (std::size_t b = 0; b < msg.size(); ++b) {
+        msg[b] = static_cast<std::uint8_t>(b * 31 + static_cast<std::size_t>(i));
+      }
+      s.stream.send_message(msg, segments * cfg.mtu, s.now);
+      sent.push_back(std::move(msg));
+      s.tick(Duration::millis(4));
+    }
+    for (int i = 0; i < 10000 && s.stream.stats().messages_delivered < sent.size();
+         ++i) {
+      s.tick(Duration::millis(1));
+    }
+
+    std::uint32_t expected_id = 0;
+    while (auto d = s.stream.pop_delivered()) {
+      ASSERT_LT(expected_id, sent.size()) << "seed " << seed;
+      EXPECT_EQ(d->message_id, expected_id) << "seed " << seed;
+      EXPECT_EQ(d->bytes, sent[expected_id]) << "seed " << seed << " msg " << expected_id;
+      ++expected_id;
+    }
+    EXPECT_EQ(expected_id, sent.size()) << "seed " << seed;
+    EXPECT_GT(s.stream.stats().stale_segments, 0u) << "seed " << seed;
+    EXPECT_GT(s.stream.stats().dup_acks_seen, 0u) << "seed " << seed;
+  }
+}
+
+TEST(ReliableStreamRto, CachedRtoMatchesRfc6298Recomputation) {
+  // Scripted RTT samples, an exponential backoff and the cum-ACK reset. The
+  // stream caches its RTO; the reported value and every retransmit instant
+  // must equal RFC 6298 recomputed from scratch (default config: 200 ms
+  // initial and minimum, 2 s maximum, G = 1 ms).
+  SeededStream s{1, StreamConfig{}};
+  const Duration grid = Duration::micros(250);
+  double srtt = 0.0;
+  double rttvar = 0.0;
+  bool first = true;
+  auto rfc_rto = [&](int backoff) {
+    double rto = std::max(srtt + std::max(4.0 * rttvar, 1.0), 200.0);
+    for (int i = 0; i < backoff; ++i) rto *= 2.0;
+    return std::min(rto, 2000.0);
+  };
+
+  // RTT samples of 2 x the one-way delay: 100, 180 and 60 ms.
+  for (const int one_way_ms : {50, 90, 30}) {
+    const NetemConfig delay = parse_netem("delay " + std::to_string(one_way_ms) + "ms");
+    if (first) {
+      s.tc.add("lo", delay);
+    } else {
+      s.tc.change("lo", delay);
+    }
+    s.stream.send_message({1}, 100, s.now);
+    s.stream.step(s.now);
+    while (s.stream.unacked_segments() > 0) s.tick(grid);
+
+    const double r = 2.0 * one_way_ms;
+    if (first) {
+      srtt = r;
+      rttvar = r / 2.0;
+      first = false;
+    } else {
+      rttvar = 0.75 * rttvar + 0.25 * std::fabs(srtt - r);
+      srtt = 0.875 * srtt + 0.125 * r;
+    }
+    EXPECT_DOUBLE_EQ(s.stream.stats().srtt.value(), srtt);
+    EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), rfc_rto(0));
+  }
+  EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), 326.25);
+
+  // Blackhole the link: the timer fires at RTO, then 2x, 4x, then the 2 s cap.
+  // RTO retransmit instants, relative to the call.
+  auto rto_instants = [&](int count) {
+    std::vector<double> at_ms;
+    const TimePoint start = s.now;
+    std::uint64_t seen = s.stream.stats().retransmits_rto;
+    while (static_cast<int>(at_ms.size()) < count) {
+      s.tick(grid);
+      if (s.stream.stats().retransmits_rto != seen) {
+        seen = s.stream.stats().retransmits_rto;
+        at_ms.push_back((s.now - start).to_millis());
+      }
+    }
+    return at_ms;
+  };
+  s.tc.change("lo", parse_netem("delay 30ms loss 100%"));
+  s.stream.send_message({2}, 100, s.now);
+  s.stream.step(s.now);
+  const std::vector<double> backed_off = rto_instants(3);
+  ASSERT_EQ(backed_off.size(), 3u);
+  EXPECT_DOUBLE_EQ(backed_off[0], rfc_rto(0));
+  EXPECT_DOUBLE_EQ(backed_off[1], rfc_rto(0) + rfc_rto(1));
+  EXPECT_DOUBLE_EQ(backed_off[2], rfc_rto(0) + rfc_rto(1) + rfc_rto(2));
+
+  // Heal the link: the next (capped) retransmission is ACKed. That ACK
+  // covers a retransmitted segment, so Karn's rule takes no sample and the
+  // reported RTO stays; the backoff resets.
+  s.tc.change("lo", parse_netem("delay 30ms"));
+  const std::vector<double> healed = rto_instants(1);
+  EXPECT_DOUBLE_EQ(healed[0], rfc_rto(3));
+  EXPECT_DOUBLE_EQ(rfc_rto(3), 2000.0);
+  while (s.stream.unacked_segments() > 0) s.tick(grid);
+  EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), rfc_rto(0));
+
+  // After the reset a fresh segment's timer runs at the un-backed-off RTO.
+  s.tc.change("lo", parse_netem("delay 30ms loss 100%"));
+  s.stream.send_message({3}, 100, s.now);
+  s.stream.step(s.now);
+  EXPECT_DOUBLE_EQ(rto_instants(1)[0], rfc_rto(0));
+  EXPECT_EQ(s.stream.stats().retransmits_fast, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/delay_line.hpp"
+#include "util/drain_queue.hpp"
 #include "util/ring_buffer.hpp"
 
 namespace rdsim::util {
 namespace {
+
+TEST(DrainQueue, KeepsFifoOrderWhetherOrNotTheConsumerDrains) {
+  // Push three, pop two, every round: the queue never empties, so the
+  // consumed prefix is compacted away instead of the storage being reset.
+  DrainQueue<int> q;
+  std::vector<int> popped;
+  int next = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) q.push(int{next++});
+    for (int i = 0; i < 2; ++i) popped.push_back(q.pop());
+  }
+  EXPECT_EQ(q.size(), 200u);
+  while (!q.empty()) popped.push_back(q.pop());
+  ASSERT_EQ(popped.size(), 600u);
+  for (int i = 0; i < 600; ++i) EXPECT_EQ(popped[static_cast<std::size_t>(i)], i);
+  q.push(7);  // reusable once drained
+  EXPECT_EQ(q.pop(), 7);
+  EXPECT_TRUE(q.empty());
+}
 
 TEST(RingBuffer, PushPopFifoOrder) {
   RingBuffer<int> rb{4};
