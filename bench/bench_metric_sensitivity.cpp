@@ -62,8 +62,8 @@ int main() {
   const auto road = sim::make_town05_route();
   core::ExperimentHarness harness;
   core::CampaignResult campaign;
-  for (int idx : {1, 4, 9}) {  // T2, T5, T10
-    std::printf("[running subject %d golden+faulty...]\n", idx + 1);
+  for (std::size_t idx : {1u, 4u, 9u}) {  // T2, T5, T10
+    std::printf("[running subject %zu golden+faulty...]\n", idx + 1);
     campaign.subjects.push_back(harness.run_subject(core::make_roster()[idx]));
   }
   std::printf("\n");

@@ -98,6 +98,12 @@ class ExperimentHarness {
   obs::CampaignCollector* collector() const { return collector_; }
 
  private:
+  /// One run of the subject: the golden run (`faulty` false, empty plan) or
+  /// the faulty run under `plan`. Run id and session seed follow `faulty`.
+  RunResult run_session(const SubjectProfile& profile, bool faulty,
+                        std::vector<FaultAssignment> plan,
+                        check::ReplayRecorder* replay) const;
+
   QuestionnaireResponse make_questionnaire(const SubjectProfile& profile,
                                            const RunResult& faulty,
                                            util::Random& rng) const;

@@ -15,10 +15,10 @@
 #include "check/replay.hpp"
 #include "core/operator_subsystem.hpp"
 #include "core/subjects.hpp"
+#include "core/transport.hpp"
 #include "core/vehicle_subsystem.hpp"
 #include "mitigate/governor.hpp"
 #include "mitigate/link_quality.hpp"
-#include "net/datagram.hpp"
 #include "net/fault_injector.hpp"
 #include "net/reliable_stream.hpp"
 #include "sim/scenario.hpp"
@@ -110,10 +110,8 @@ class TeleopSession {
   net::TrafficControl tc_;
   net::Channel channel_;
   net::PacketRouter router_;
-  std::unique_ptr<net::ReliableStream> video_stream_;
-  std::unique_ptr<net::ReliableStream> command_stream_;
-  std::unique_ptr<net::DatagramSocket> video_dgram_;
-  std::unique_ptr<net::DatagramSocket> command_dgram_;
+  std::unique_ptr<MessageTransport> video_;     ///< downlink: frames
+  std::unique_ptr<MessageTransport> commands_;  ///< uplink: driver commands
   net::FaultInjector injector_;
 
   VehicleSubsystem vehicle_;

@@ -10,7 +10,8 @@
 // change that requires regenerating the table below.
 //
 // To regenerate after an intentional change: run this test; the failure
-// output prints the complete replacement table, copy-paste it over kGolden.
+// output prints the complete replacement table, copy-paste it over the
+// drifted one (kGolden, kGoldenMitigated or kGoldenDatagram).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -39,14 +40,15 @@ ExperimentConfig golden_config(std::uint64_t seed) {
   return cfg;
 }
 
-// Serial reference campaigns, one per seed, shared by every test in this
-// binary (the parallel sweep reuses the serial hash as its baseline).
-const CampaignResult& golden_campaign(std::uint64_t seed) {
+// Serial reference campaigns, one per (configuration, seed), shared by every
+// test in this binary (the parallel sweeps reuse the serial hash as their
+// baseline).
+template <ExperimentConfig (*MakeConfig)(std::uint64_t)>
+const CampaignResult& serial_campaign(std::uint64_t seed) {
   static std::map<std::uint64_t, CampaignResult> cache;
   auto it = cache.find(seed);
   if (it == cache.end()) {
-    it = cache.emplace(seed, ExperimentHarness{golden_config(seed)}.run_campaign())
-             .first;
+    it = cache.emplace(seed, ExperimentHarness{MakeConfig(seed)}.run_campaign()).first;
   }
   return it->second;
 }
@@ -79,11 +81,14 @@ constexpr GoldenEntry kGolden[] = {
       0x6a3ff982f60cb480ULL, 0x30a9bad75a131159ULL, 0x9e1dfb20891f99d8ULL}},
 };
 
-std::string render_replacement_table() {
-  std::string out = "constexpr GoldenEntry kGolden[] = {\n";
+// Prints `table` as a C++ initializer holding this build's hashes, ready to
+// paste over the drifted table.
+template <ExperimentConfig (*MakeConfig)(std::uint64_t), std::size_t N>
+std::string render_table(const char* name, const GoldenEntry (&table)[N]) {
+  std::string out = std::string{"constexpr GoldenEntry "} + name + "[] = {\n";
   char buf[64];
-  for (const GoldenEntry& entry : kGolden) {
-    const CampaignResult& campaign = golden_campaign(entry.seed);
+  for (const GoldenEntry& entry : table) {
+    const CampaignResult& campaign = serial_campaign<MakeConfig>(entry.seed);
     std::snprintf(buf, sizeof buf, "    {%llu,\n     0x%016llxULL,\n     {",
                   static_cast<unsigned long long>(entry.seed),
                   static_cast<unsigned long long>(check::campaign_hash(campaign)));
@@ -124,22 +129,23 @@ std::string diagnose_subject(const ExperimentHarness& harness,
          "regenerate the table below.";
 }
 
-TEST(CampaignGolden, HashCorpusMatchesCheckedInTable) {
-  for (const GoldenEntry& entry : kGolden) {
-    const ExperimentHarness harness{golden_config(entry.seed)};
-    const CampaignResult& campaign = golden_campaign(entry.seed);
+// Fails when any entry's campaign hash drifted: pinpoints the first
+// divergent subject, classifies the drift, and prints a replacement table.
+template <ExperimentConfig (*MakeConfig)(std::uint64_t), std::size_t N>
+void expect_corpus_matches(const char* name, const GoldenEntry (&table)[N]) {
+  for (const GoldenEntry& entry : table) {
+    const CampaignResult& campaign = serial_campaign<MakeConfig>(entry.seed);
     ASSERT_EQ(campaign.subjects.size(), 12u);
-
     if (check::campaign_hash(campaign) == entry.campaign) continue;
 
-    // Drifted: pinpoint the first divergent subject, then classify.
-    std::string detail = "campaign_hash drifted for seed " +
+    std::string detail = std::string{name} + " campaign_hash drifted for seed " +
                          std::to_string(entry.seed) + ".\n";
     bool found = false;
     for (std::size_t i = 0; i < campaign.subjects.size(); ++i) {
       if (check::hash_subject(campaign.subjects[i]) != entry.subjects[i]) {
         detail += "first divergent subject: index " + std::to_string(i) + " (" +
                   campaign.subjects[i].profile.id + ")\n";
+        const ExperimentHarness harness{MakeConfig(entry.seed)};
         detail += diagnose_subject(harness, campaign.subjects[i].profile) + "\n";
         found = true;
         break;
@@ -150,16 +156,20 @@ TEST(CampaignGolden, HashCorpusMatchesCheckedInTable) {
           "all 12 subject hashes match — drift is in campaign-level fields "
           "(config/aggregation).\n";
     }
-    ADD_FAILURE() << detail
-                  << "\nreplacement table:\n" << render_replacement_table();
+    ADD_FAILURE() << detail << "\nreplacement table:\n"
+                  << render_table<MakeConfig>(name, table);
     return;  // one table print is enough
   }
+}
+
+TEST(CampaignGolden, HashCorpusMatchesCheckedInTable) {
+  expect_corpus_matches<golden_config>("kGolden", kGolden);
 }
 
 TEST(CampaignGolden, ParallelMatchesSerialForEveryWorkerCount) {
   for (const GoldenEntry& entry : kGolden) {
     const std::uint64_t serial_hash =
-        check::campaign_hash(golden_campaign(entry.seed));
+        check::campaign_hash(serial_campaign<golden_config>(entry.seed));
     const ExperimentHarness harness{golden_config(entry.seed)};
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
       const CampaignResult parallel = harness.run_campaign_parallel(workers);
@@ -275,18 +285,6 @@ ExperimentConfig mitigated_config(std::uint64_t seed) {
   return cfg;
 }
 
-const CampaignResult& mitigated_campaign(std::uint64_t seed) {
-  static std::map<std::uint64_t, CampaignResult> cache;
-  auto it = cache.find(seed);
-  if (it == cache.end()) {
-    it = cache
-             .emplace(seed,
-                      ExperimentHarness{mitigated_config(seed)}.run_campaign())
-             .first;
-  }
-  return it->second;
-}
-
 // ---- mitigated golden corpus (regenerate via the failure output) ----
 constexpr GoldenEntry kGoldenMitigated[] = {
     {7,
@@ -309,50 +307,8 @@ constexpr GoldenEntry kGoldenMitigated[] = {
       0xa68124f3fac38633ULL, 0x760eda7b042b1e41ULL, 0x0c77ed972ea3c2fcULL}},
 };
 
-std::string render_mitigated_table() {
-  std::string out = "constexpr GoldenEntry kGoldenMitigated[] = {\n";
-  char buf[64];
-  for (const GoldenEntry& entry : kGoldenMitigated) {
-    const CampaignResult& campaign = mitigated_campaign(entry.seed);
-    std::snprintf(buf, sizeof buf, "    {%llu,\n     0x%016llxULL,\n     {",
-                  static_cast<unsigned long long>(entry.seed),
-                  static_cast<unsigned long long>(check::campaign_hash(campaign)));
-    out += buf;
-    for (std::size_t i = 0; i < campaign.subjects.size(); ++i) {
-      std::snprintf(buf, sizeof buf, "0x%016llxULL",
-                    static_cast<unsigned long long>(
-                        check::hash_subject(campaign.subjects[i])));
-      out += buf;
-      if (i + 1 < campaign.subjects.size())
-        out += (i % 3 == 2) ? ",\n      " : ", ";
-    }
-    out += "}},\n";
-  }
-  out += "};\n";
-  return out;
-}
-
 TEST(CampaignGoldenMitigated, HashCorpusMatchesCheckedInTable) {
-  for (const GoldenEntry& entry : kGoldenMitigated) {
-    const ExperimentHarness harness{mitigated_config(entry.seed)};
-    const CampaignResult& campaign = mitigated_campaign(entry.seed);
-    ASSERT_EQ(campaign.subjects.size(), 12u);
-    if (check::campaign_hash(campaign) == entry.campaign) continue;
-
-    std::string detail = "mitigated campaign_hash drifted for seed " +
-                         std::to_string(entry.seed) + ".\n";
-    for (std::size_t i = 0; i < campaign.subjects.size(); ++i) {
-      if (check::hash_subject(campaign.subjects[i]) != entry.subjects[i]) {
-        detail += "first divergent subject: index " + std::to_string(i) + " (" +
-                  campaign.subjects[i].profile.id + ")\n";
-        detail += diagnose_subject(harness, campaign.subjects[i].profile) + "\n";
-        break;
-      }
-    }
-    ADD_FAILURE() << detail << "\nreplacement table:\n"
-                  << render_mitigated_table();
-    return;
-  }
+  expect_corpus_matches<mitigated_config>("kGoldenMitigated", kGoldenMitigated);
 }
 
 TEST(CampaignGoldenMitigated, MitigationActuallyEngagesInTheCorpus) {
@@ -362,7 +318,8 @@ TEST(CampaignGoldenMitigated, MitigationActuallyEngagesInTheCorpus) {
   double non_nominal_dwell = 0.0;
   std::uint64_t interventions = 0;
   for (const GoldenEntry& entry : kGoldenMitigated) {
-    for (const SubjectResult& s : mitigated_campaign(entry.seed).subjects) {
+    for (const SubjectResult& s :
+         serial_campaign<mitigated_config>(entry.seed).subjects) {
       ASSERT_TRUE(s.golden.mitigation.enabled);
       ASSERT_TRUE(s.faulty.mitigation.enabled);
       non_nominal_dwell += s.faulty.mitigation.dwell_degraded.value() +
@@ -381,7 +338,7 @@ TEST(CampaignGoldenMitigated, ParallelMatchesSerialForEveryWorkerCount) {
   const GoldenEntry& entry = kGoldenMitigated[2];
   ASSERT_EQ(entry.seed, 42u);
   const std::uint64_t serial_hash =
-      check::campaign_hash(mitigated_campaign(entry.seed));
+      check::campaign_hash(serial_campaign<mitigated_config>(entry.seed));
   const ExperimentHarness harness{mitigated_config(entry.seed)};
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     const CampaignResult parallel = harness.run_campaign_parallel(workers);
@@ -404,12 +361,64 @@ TEST(CampaignGoldenMitigated, DisabledMitigationDoesNotChangeTheHash) {
   }
 }
 
+// ---- datagram corpus ---------------------------------------------------
+// The same miniature campaign with video and commands both on datagram
+// transports: one packet per message, no retransmission, latest-wins
+// receive. The two corpora above run reliable streams only; this entry pins
+// the datagram path through TeleopSession.
+
+ExperimentConfig datagram_config(std::uint64_t seed) {
+  ExperimentConfig cfg = golden_config(seed);
+  cfg.rds.datagram_video = true;
+  cfg.rds.datagram_commands = true;
+  return cfg;
+}
+
+// ---- datagram golden corpus (regenerate via the failure output) ----
+constexpr GoldenEntry kGoldenDatagram[] = {
+    {7,
+     0xb417cdbcf30d18aeULL,
+     {0x7821445d278d4fd5ULL, 0xb973c8936e2e1ee7ULL, 0x63c72dfac79d4231ULL,
+      0x2db4130daf299ac4ULL, 0xf4056b2c77098eaeULL, 0xf98ff0df26eec0c6ULL,
+      0x9002dd5e7ff73ed0ULL, 0xcc370856b9d7194eULL, 0xad2ffb60fe42dc6aULL,
+      0xb3ce516bba1c55c7ULL, 0x8c15dafc51e5e5c2ULL, 0x4f546fec2f456450ULL}},
+};
+
+TEST(CampaignGoldenDatagram, HashCorpusMatchesCheckedInTable) {
+  expect_corpus_matches<datagram_config>("kGoldenDatagram", kGoldenDatagram);
+}
+
+TEST(CampaignGoldenDatagram, NoRunUsesAReliableStream) {
+  // Guard against a vacuous datagram corpus: every run must have bypassed
+  // the reliable-stream transport in both directions.
+  for (const GoldenEntry& entry : kGoldenDatagram) {
+    for (const SubjectResult& s : serial_campaign<datagram_config>(entry.seed).subjects) {
+      for (const RunResult* r : {&s.golden, &s.faulty}) {
+        EXPECT_EQ(r->video_stats.segments_sent, 0u) << s.profile.id;
+        EXPECT_EQ(r->command_stats.segments_sent, 0u) << s.profile.id;
+        EXPECT_GT(r->frames_displayed, 0u) << s.profile.id;
+      }
+    }
+  }
+}
+
+TEST(CampaignGoldenDatagram, ParallelMatchesSerialForEveryWorkerCount) {
+  for (const GoldenEntry& entry : kGoldenDatagram) {
+    const ExperimentHarness harness{datagram_config(entry.seed)};
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+      const CampaignResult parallel = harness.run_campaign_parallel(workers);
+      ASSERT_EQ(check::campaign_hash(parallel), entry.campaign)
+          << "datagram campaign diverged at " << workers << " workers";
+    }
+  }
+}
+
 TEST(CampaignGolden, SubjectHashesAreOrderIndependent) {
   // SplitMix sub-seeding makes each subject a pure function of (campaign
   // seed, roster index): running one subject in isolation must reproduce its
   // in-campaign result exactly.
   const std::uint64_t seed = 42;
-  const CampaignResult& campaign = golden_campaign(seed);
+  const CampaignResult& campaign = serial_campaign<golden_config>(seed);
   const ExperimentHarness harness{golden_config(seed)};
   for (const std::size_t i : {std::size_t{0}, std::size_t{5}, std::size_t{11}}) {
     const SubjectResult alone =

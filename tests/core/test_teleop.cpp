@@ -108,17 +108,40 @@ TEST(TeleopSession, DifferentSeedsDiverge) {
 }
 
 TEST(TeleopSession, DatagramTransportAblation) {
-  RunConfig rc = base_config("dgram");
-  rc.rds.datagram_video = true;
-  rc.rds.datagram_commands = true;
-  rc.fault_injected = true;
-  rc.plan.push_back({"following", {net::FaultKind::kPacketLoss, 0.05}});
-  TeleopSession session{std::move(rc), sim::make_following_scenario()};
-  const RunResult r = session.run();
-  EXPECT_TRUE(r.completed);
-  // No reliable-stream stats in datagram mode.
-  EXPECT_EQ(r.video_stats.segments_sent, 0u);
-  EXPECT_GT(r.frames_displayed, 500u);
+  // Both directions on datagrams, then each mix of one datagram and one
+  // reliable-stream direction: a datagram direction reports all-zero
+  // StreamStats, a stream direction reports its own traffic.
+  struct Mix {
+    bool datagram_video;
+    bool datagram_commands;
+  };
+  for (const Mix mix : {Mix{true, true}, Mix{true, false}, Mix{false, true}}) {
+    RunConfig rc = base_config("dgram");
+    rc.rds.datagram_video = mix.datagram_video;
+    rc.rds.datagram_commands = mix.datagram_commands;
+    rc.fault_injected = true;
+    rc.plan.push_back({"following", {net::FaultKind::kPacketLoss, 0.05}});
+    TeleopSession session{std::move(rc), sim::make_following_scenario()};
+    const RunResult r = session.run();
+    SCOPED_TRACE(testing::Message() << "datagram video " << mix.datagram_video
+                                    << ", datagram commands " << mix.datagram_commands);
+    EXPECT_TRUE(r.completed);
+    EXPECT_GT(r.frames_displayed, 500u);
+    const auto expect_stats = [](const net::StreamStats& stats, bool datagram) {
+      if (datagram) {
+        EXPECT_EQ(stats.messages_sent, 0u);
+        EXPECT_EQ(stats.segments_sent, 0u);
+        EXPECT_EQ(stats.acks_sent, 0u);
+        EXPECT_EQ(stats.srtt, units::Millis{});
+      } else {
+        EXPECT_GT(stats.messages_sent, 0u);
+        EXPECT_GE(stats.segments_sent, stats.messages_sent);
+        EXPECT_GT(stats.acks_sent, 0u);
+      }
+    };
+    expect_stats(r.video_stats, mix.datagram_video);
+    expect_stats(r.command_stats, mix.datagram_commands);
+  }
 }
 
 TEST(TeleopSession, StepApiExposesProgress) {

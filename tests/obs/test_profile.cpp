@@ -14,11 +14,13 @@
 namespace rdsim::obs {
 namespace {
 
-MetricId scope_timer() {
+// Referenced only through RDSIM_OBS_* macros, which compile to nothing when
+// observability is off.
+[[maybe_unused]] MetricId scope_timer() {
   static const MetricId id = register_timer("test.scope_timer", "test");
   return id;
 }
-MetricId pool_counter() {
+[[maybe_unused]] MetricId pool_counter() {
   static const MetricId id = register_counter("test.pool_counter", "test");
   return id;
 }

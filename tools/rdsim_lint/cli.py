@@ -10,8 +10,8 @@ dependency graph when the layering rule ran.
 
 Exit codes: 0 clean · 1 violations · 2 configuration/usage error.
 
-The legacy tools/lint_*.py scripts are thin shims over this module, kept so
-existing ctest names and muscle memory continue to work.
+This is the one lint entry point: each ctest (`determinism_lint`,
+`units_lint`, ...) runs `python3 -m tools.rdsim_lint.cli --rules <rule>`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ A rule is any object with a `name` attribute and a
 runs each rule, drops violations whose line carries a matching
 `// lint:allow(rule[: reason])` escape, and renders text / JSON reports.
 
-Exit-code contract (shared by cli.py and the legacy shims):
+Exit-code contract (of `python3 -m tools.rdsim_lint.cli --rules <rule>`):
   0 clean · 1 violations · 2 configuration/usage error (ConfigError).
 """
 

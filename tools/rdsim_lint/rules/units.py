@@ -9,7 +9,8 @@ set keeps the migration from regressing:
                     the strong types. *Ratchet*: files listed in BASELINE
                     keep their audited count of deliberate raw declarations;
                     a file may go below its baseline (the entry must then be
-                    lowered) but never above, and unlisted files are clean.
+                    lowered) but never above, unlisted files are clean, and
+                    an entry whose file is gone must be dropped.
   magic-conversion  hand-written unit-conversion constants outside the units
                     layer — every conversion factor lives exactly once in
                     src/util/units.hpp (or src/util/time.hpp).
@@ -44,7 +45,6 @@ BASELINE = {
     "src/sim/road.hpp": 4,
     "src/sim/road.cpp": 4,
     "src/trace/trace.hpp": 2,
-    "src/sim/rpc.hpp": 1,
     "src/sim/frame.hpp": 1,
 }
 
@@ -99,6 +99,13 @@ class UnitsRule:
                     f"ratchet: baseline {budget} but only {len(suffix_hits)} "
                     "raw-unit-suffix declarations remain — lower BASELINE in "
                     "tools/rdsim_lint/rules/units.py to lock in the progress"))
+        for rel, budget in sorted(self.baseline.items()):
+            if tree.file(rel) is None:
+                violations.append(Violation(
+                    "raw-unit-suffix", rel, 0,
+                    f"ratchet: baseline {budget} for a file that no longer "
+                    "exists — drop the entry from BASELINE in "
+                    "tools/rdsim_lint/rules/units.py"))
         return violations
 
 
