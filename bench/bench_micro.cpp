@@ -87,6 +87,24 @@ void BM_RoadProjection(benchmark::State& state) {
 }
 BENCHMARK(BM_RoadProjection);
 
+// An actor driving on past the end of the reference line with a fresh hint:
+// the best sample is the window's last one, so every query takes the
+// whole-line fallback. Campaign traffic does this once the lead vehicle
+// leaves the route.
+void BM_RoadProjectionPastEnd(benchmark::State& state) {
+  const auto road = sim::make_town05_route();
+  const util::Pose end = road.sample_offset(road.length(), 1.0);
+  double beyond = 0.0;
+  for (auto _ : state) {
+    const util::Vec2 p = end.position + end.forward() * beyond;
+    benchmark::DoNotOptimize(road.project(p, road.length() + beyond));
+    beyond += 0.16;
+    if (beyond > 200.0) beyond = 0.0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RoadProjectionPastEnd);
+
 void BM_FrameEncodeDecode(benchmark::State& state) {
   sim::World world{sim::make_town05_route()};
   sim::ScenarioRuntime runtime{sim::make_test_route_scenario(), world};

@@ -13,7 +13,7 @@ std::vector<SubjectProfile> make_roster(std::uint64_t campaign_seed) {
   for (int i = 1; i <= 12; ++i) {
     SubjectProfile s;
     s.index = i;
-    s.id = "T" + std::to_string(i);
+    s.id = 'T' + std::to_string(i);
     // SplitMix sub-seeding: each subject's seed is a pure function of
     // (campaign seed, subject index), with no generator state shared between
     // subjects. Subject i's profile and runs are therefore identical no

@@ -55,6 +55,14 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
     vehicle_.enable_mitigation(config_.mitigation.watchdog);
   }
 
+  for (std::size_t i = 0; i < config_.plan.size(); ++i) {
+    for (const sim::PoiWindow& poi : vehicle_.runtime().scenario().pois) {
+      if (poi.name == config_.plan[i].poi) {
+        planned_windows_.push_back({i, poi.from, poi.to});
+      }
+    }
+  }
+
   comms_dt_ = util::Duration::seconds(1.0 / rds.comms_hz);
   physics_dt_ = util::Duration::seconds(1.0 / rds.physics_hz);
   next_physics_ = clock_.now();
@@ -62,18 +70,14 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
 
 void TeleopSession::update_fault_plan() {
   const units::Meters s = vehicle_.runtime().ego_position();
-  const sim::Scenario& scenario = vehicle_.runtime().scenario();
 
   // Find the planned assignment whose POI contains the ego position.
   std::optional<std::size_t> due;
-  for (std::size_t i = 0; i < config_.plan.size(); ++i) {
-    for (const sim::PoiWindow& poi : scenario.pois) {
-      if (poi.name == config_.plan[i].poi && s >= poi.from && s < poi.to) {
-        due = i;
-        break;
-      }
+  for (const PlannedWindow& w : planned_windows_) {
+    if (s >= w.from && s < w.to) {
+      due = w.assignment;
+      break;
     }
-    if (due) break;
   }
 
   if (due != active_assignment_) {

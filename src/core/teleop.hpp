@@ -126,6 +126,14 @@ class TeleopSession {
   util::Duration comms_dt_{};
   util::Duration physics_dt_{};
   util::TimePoint next_physics_{};
+  /// A POI window of one plan entry, resolved from its name once; in plan
+  /// order, then scenario POI order, so the first hit is the due entry.
+  struct PlannedWindow {
+    std::size_t assignment;
+    units::Meters from;
+    units::Meters to;
+  };
+  std::vector<PlannedWindow> planned_windows_;
   std::optional<std::size_t> active_assignment_;
   std::uint64_t frames_skipped_sender_{0};
   bool finished_{false};

@@ -19,7 +19,11 @@ Payload ProtocolHeader::finish(ByteWriter& w) {
 
 Payload ProtocolHeader::seal(std::uint16_t stream_id, SegmentType type,
                              const Payload& body) {
-  ByteWriter w;
+  // Reserving the whole packet up front also keeps GCC's -O3 -Warray-bounds
+  // from misreading the growth path of the body append.
+  Payload buf;
+  buf.reserve(kSize + body.size());
+  ByteWriter w{std::move(buf)};
   begin(w, stream_id, type);
   w.raw(body.data(), body.size());
   return finish(w);

@@ -8,6 +8,19 @@
 
 namespace rdsim::sim {
 
+namespace {
+
+/// Relative (and, for the radius, absolute in metres) slack of the bounding
+/// circles. Rounding in the distance expressions is ~1e-16 relative; this
+/// keeps every bound conservative while pruning as well as an exact one.
+constexpr double kBoundSlack = 1e-9;
+
+int segment_steps(double length, double step) {
+  return std::max(1, static_cast<int>(std::ceil(length / step)));
+}
+
+}  // namespace
+
 PathBuilder::PathBuilder(util::Pose start, double sample_step_m)
     : start_{start}, step_{sample_step_m > 0.0 ? sample_step_m : 1.0} {}
 
@@ -24,7 +37,14 @@ PathBuilder& PathBuilder::arc(double radius_m, double angle_rad) {
 }
 
 PathBuilder::Sampled PathBuilder::build() const {
+  std::size_t samples = 1;
+  for (const Segment& seg : segments_) {
+    samples += static_cast<std::size_t>(segment_steps(seg.length, step_));
+  }
   Sampled out;
+  out.points.reserve(samples);
+  out.headings.reserve(samples);
+  out.arclength.reserve(samples);
   util::Pose pose = start_;
   double s = 0.0;
   out.points.push_back(pose.position);
@@ -32,8 +52,9 @@ PathBuilder::Sampled PathBuilder::build() const {
   out.arclength.push_back(0.0);
 
   for (const Segment& seg : segments_) {
-    const int steps = std::max(1, static_cast<int>(std::ceil(seg.length / step_)));
+    const int steps = segment_steps(seg.length, step_);
     const double ds = seg.length / steps;
+    const util::Vec2 forward = pose.forward();  // a straight keeps its heading
     for (int i = 0; i < steps; ++i) {
       if (seg.is_arc) {
         const double dtheta = (seg.angle > 0 ? 1.0 : -1.0) * ds / seg.radius;
@@ -42,7 +63,7 @@ PathBuilder::Sampled PathBuilder::build() const {
         pose.position += util::Vec2::from_heading(mid_heading) * ds;
         pose.heading = util::wrap_angle(pose.heading + dtheta);
       } else {
-        pose.position += pose.forward() * ds;
+        pose.position += forward * ds;
       }
       s += ds;
       out.points.push_back(pose.position);
@@ -67,6 +88,31 @@ RoadNetwork::RoadNetwork(PathBuilder::Sampled reference, int lane_count,
   if (lane_count_ < 1 || lane_width_ <= 0.0) {
     throw std::invalid_argument{"RoadNetwork: invalid lane geometry"};
   }
+  blocks_ = block_bounds(points_);
+}
+
+// One pass over the samples with one sqrt per block: each circle is centred
+// on its block's bounding box, with the box's half-diagonal measured from
+// that stored centre as radius (exact for a straight run).
+std::vector<RoadNetwork::Circle> RoadNetwork::block_bounds(
+    const std::vector<util::Vec2>& points) {
+  std::vector<Circle> out;
+  out.reserve((points.size() + kBlockSize - 1) / kBlockSize);
+  for (std::size_t first = 0; first < points.size(); first += kBlockSize) {
+    const std::size_t end = std::min(first + kBlockSize, points.size());
+    util::Vec2 min = points[first];
+    util::Vec2 max = min;
+    for (std::size_t i = first + 1; i < end; ++i) {
+      min = {std::min(min.x, points[i].x), std::min(min.y, points[i].y)};
+      max = {std::max(max.x, points[i].x), std::max(max.y, points[i].y)};
+    }
+    const util::Vec2 centre = (min + max) * 0.5;
+    const util::Vec2 half{std::max(centre.x - min.x, max.x - centre.x),
+                          std::max(centre.y - min.y, max.y - centre.y)};
+    const double radius = std::sqrt(half.norm_sq()) * (1.0 + kBoundSlack) + kBoundSlack;
+    out.push_back({centre, radius});
+  }
+  return out;
 }
 
 namespace {
@@ -109,38 +155,61 @@ double RoadNetwork::curvature_at(double s) const {
   return util::wrap_angle(h2 - h1) / (2.0 * ds);
 }
 
+// Bound invariant: for a block with centre c and stored radius r, a
+// query q and a squared distance `best`, if
+//   (c - q).norm_sq() > ((r + sqrt(best)) * (1 + kBoundSlack))^2
+// then every sample i of it has (points_[i] - q).norm_sq() > best, so it
+// holds neither a closer sample nor a tie. Skipping it cannot change the
+// (distance, index) minimum. NaN anywhere makes the test false, so a NaN
+// query scans every sample and keeps its initial candidate, as a linear scan
+// does; so does an infinite one, whose bounds and distances are all inf.
+void RoadNetwork::nearest_in(std::size_t lo, std::size_t hi, util::Vec2 point,
+                             std::size_t seed, Candidate& best) const {
+  const auto scan = [&](std::size_t block) {
+    const std::size_t first = std::max(lo, block * kBlockSize);
+    const std::size_t last = std::min(hi, block * kBlockSize + kBlockSize - 1);
+    for (std::size_t i = first; i <= last; ++i) {
+      const Candidate c{i, (points_[i] - point).norm_sq()};
+      if (c.before(best)) best = c;
+    }
+  };
+  scan(seed);
+
+  // Then scan only the blocks the invariant above cannot rule out.
+  double reach = std::sqrt(best.dist_sq);
+  for (std::size_t b = lo / kBlockSize; b <= hi / kBlockSize; ++b) {
+    const double bound = (blocks_[b].radius + reach) * (1.0 + kBoundSlack);
+    if (b == seed || (blocks_[b].centre - point).norm_sq() > bound * bound) continue;
+    scan(b);
+    reach = std::sqrt(best.dist_sq);
+  }
+}
+
 std::size_t RoadNetwork::nearest_index(util::Vec2 point,
                                        std::optional<double> hint_s) const {
+  const std::size_t last = points_.size() - 1;
+  Candidate best{0, (points_[0] - point).norm_sq()};
+  std::size_t seed = 0;  // without a hint, start at the first block
   if (hint_s) {
-    // Local search around the hint: actors move forward a few metres per
-    // step, so scanning a +/- 50 m window is both fast and safe.
+    // Local search around the hint, starting from the hint's own block:
+    // actors move a few centimetres per step, so a window of +/- 60 samples
+    // (+/- 60 m at scale 1, 15 m at 0.25) almost always holds the nearest
+    // sample.
     const std::size_t centre = index_for_s(arclength_, *hint_s);
     const std::size_t window = 60;
     const std::size_t lo = centre > window ? centre - window : 0;
-    const std::size_t hi = std::min(centre + window, points_.size() - 1);
-    std::size_t best = lo;
-    double best_d = (points_[lo] - point).norm_sq();
-    for (std::size_t i = lo + 1; i <= hi; ++i) {
-      const double d = (points_[i] - point).norm_sq();
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
+    const std::size_t hi = std::min(centre + window, last);
+    Candidate local{lo, (points_[lo] - point).norm_sq()};
+    nearest_in(lo, hi, point, centre / kBlockSize, local);
     // If the best is interior to the window, trust it; otherwise fall back
-    // to the global search below (the hint was stale).
-    if (best > lo && best < hi) return best;
+    // to the global search below (the hint was stale, or the point is past
+    // an end of the road), seeded with the window's best.
+    if (local.index > lo && local.index < hi) return local.index;
+    if (local.before(best)) best = local;
+    seed = best.index / kBlockSize;
   }
-  std::size_t best = 0;
-  double best_d = (points_[0] - point).norm_sq();
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    const double d = (points_[i] - point).norm_sq();
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
+  nearest_in(0, last, point, seed, best);
+  return best.index;
 }
 
 RoadProjection RoadNetwork::project(util::Vec2 point, std::optional<double> hint_s) const {
@@ -159,7 +228,7 @@ RoadProjection RoadNetwork::project(util::Vec2 point, std::optional<double> hint
   return proj;
 }
 
-RoadNetwork make_town05_route(double scale) {
+PathBuilder::Sampled make_town05_reference(double scale) {
   // Two same-direction lanes, 3.5 m wide, ~2.6 km: straights for the
   // car-following sections, sweeping curves between them, matching the
   // highway/multi-lane character of CARLA Town 5.
@@ -174,7 +243,12 @@ RoadNetwork make_town05_route(double scale) {
       .straight(400.0 * scale)
       .arc(200.0 * scale, util::deg_to_rad(-30.0))
       .straight(450.0 * scale);
-  return RoadNetwork{builder.build(), /*lane_count=*/2,
+  return builder.build();
+}
+
+RoadNetwork make_town05_route(double scale) {
+  if (scale <= 0.0) scale = 1.0;
+  return RoadNetwork{make_town05_reference(scale), /*lane_count=*/2,
                      /*lane_width_m=*/3.5 * scale};
 }
 

@@ -80,8 +80,11 @@ class RoadNetwork {
   /// Signed curvature at s (1/m, + left).
   double curvature_at(double s) const;
 
-  /// Project a world point; `hint_s` (if given) makes the search local and
-  /// O(1) for the forward-moving actors that dominate the workload.
+  /// Project a world point onto its nearest reference sample (the first one
+  /// on a tie). `hint_s` (if given) starts the search in a window of +/- 60
+  /// samples around it (+/- 60 m at scale 1); a result on the window's edge
+  /// falls back to the whole line. Both searches prune whole sample blocks
+  /// by a bounding circle, so the result equals a linear scan's, bit for bit.
   RoadProjection project(util::Vec2 point, std::optional<double> hint_s = {}) const;
 
   /// Lateral offset of the centre of lane `lane` from the reference line.
@@ -105,11 +108,37 @@ class RoadNetwork {
   }
 
  private:
+  /// A sample index with its squared distance to the query point.
+  struct Candidate {
+    std::size_t index;
+    double dist_sq;
+    /// (distance, index) order: ties go to the lower index, as in a
+    /// first-index linear scan. False whenever a distance is NaN.
+    bool before(const Candidate& other) const {
+      return dist_sq < other.dist_sq || (dist_sq == other.dist_sq && index < other.index);
+    }
+  };
+  /// Bounding circle of a block of consecutive samples. The radius carries a
+  /// small slack so that, despite rounding, no sample's computed squared
+  /// distance to a query falls below the bound.
+  struct Circle {
+    util::Vec2 centre;
+    double radius;
+  };
+  /// Samples per block.
+  static constexpr std::size_t kBlockSize = 16;
+
+  static std::vector<Circle> block_bounds(const std::vector<util::Vec2>& points);
   std::size_t nearest_index(util::Vec2 point, std::optional<double> hint_s) const;
+  /// Lexicographic (distance, index) minimum of `best` and samples [lo, hi],
+  /// scanning block `seed` (which must overlap [lo, hi]) first.
+  void nearest_in(std::size_t lo, std::size_t hi, util::Vec2 point, std::size_t seed,
+                  Candidate& best) const;
 
   std::vector<util::Vec2> points_;
   std::vector<double> headings_;
   std::vector<double> arclength_;
+  std::vector<Circle> blocks_;  ///< one per kBlockSize samples
   int lane_count_;
   double lane_width_;
 };
@@ -119,5 +148,7 @@ class RoadNetwork {
 /// `scale` shrinks every length (segment lengths, radii, lane width) —
 /// scale 0.25 gives the kind of course a scaled-down model vehicle drives.
 RoadNetwork make_town05_route(double scale = 1.0);
+/// The sampled reference line of make_town05_route(scale).
+PathBuilder::Sampled make_town05_reference(double scale = 1.0);
 
 }  // namespace rdsim::sim

@@ -53,7 +53,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SubjectScenarioCase{11, "overtake"},
                       SubjectScenarioCase{12, "following"}),
     [](const ::testing::TestParamInfo<SubjectScenarioCase>& param_info) {
-      return "T" + std::to_string(param_info.param.subject) + "_" +
+      return 'T' + std::to_string(param_info.param.subject) + "_" +
              param_info.param.scenario;
     });
 
@@ -64,7 +64,7 @@ TEST_P(ExtremeDriverParams, SlowReactionsStillStableOnCleanLink) {
   d.reaction_time_s = GetParam();
   RunConfig rc;
   rc.run_id = "extreme";
-  rc.subject_id = "X";
+  rc.subject_id = std::string(1, 'X');
   rc.driver = d;
   rc.seed = 31;
   TeleopSession session{std::move(rc), sim::make_following_scenario()};

@@ -9,7 +9,7 @@ TEST(Roster, TwelveSubjectsT7Excluded) {
   const auto roster = make_roster();
   ASSERT_EQ(roster.size(), 12u);
   for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(roster[static_cast<std::size_t>(i)].id, "T" + std::to_string(i + 1));
+    EXPECT_EQ(roster[static_cast<std::size_t>(i)].id, 'T' + std::to_string(i + 1));
     EXPECT_EQ(roster[static_cast<std::size_t>(i)].index, i + 1);
   }
   int excluded = 0;
@@ -87,7 +87,7 @@ TEST(Questionnaire, SummaryAggregates) {
   std::vector<QuestionnaireResponse> responses;
   for (int i = 0; i < 4; ++i) {
     QuestionnaireResponse q;
-    q.subject = "T" + std::to_string(i);
+    q.subject = 'T' + std::to_string(i);
     q.q1_gaming = i != 0;
     q.q2_racing = i > 1;
     q.q3_station_experience = i % 3;
