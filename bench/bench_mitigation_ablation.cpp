@@ -8,41 +8,35 @@
 // and reports what the governor + MRM buy (collisions) and what they cost
 // (steering-reversal rate, completion time, standstill time).
 //
-// The baseline reuses the shared bench campaign cache; the mitigated twin is
-// cached under its own config fingerprint (the mitigation knobs fold into
-// experiment_config_fingerprint).
+// Both campaigns run in process on the thread-pool runner. Each prints its
+// contract-violation count. The mitigated campaign fires the known negative
+// display-staleness precondition (ROADMAP.md, item 1), so violations do not
+// fail this bench yet.
 #include <chrono>
 #include <cstdio>
 
-#include "campaign.hpp"
+#include "check/contracts.hpp"
+#include "core/campaign_hash.hpp"
+#include "core/report.hpp"
 #include "metrics/srr.hpp"
 
 using namespace rdsim;
 
 namespace {
 
-const core::CampaignResult& mitigated_campaign() {
-  static const core::CampaignResult result = [] {
-    core::ExperimentConfig config{};
-    config.mitigation.enabled = true;
-    const std::string cache_path = core::campaign_cache_path(config);
-    if (auto cached = core::load_campaign(cache_path)) {
-      std::printf("[mitigated campaign: cache hit %s]\n\n", cache_path.c_str());
-      return std::move(*cached);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    core::ExperimentHarness harness{config};
-    auto r = harness.run_campaign_parallel(/*n_workers=*/0);
-    const auto t1 = std::chrono::steady_clock::now();
-    std::printf("[mitigated campaign: %.1f s wall, hash %016llx]\n",
-                std::chrono::duration<double>(t1 - t0).count(),
-                static_cast<unsigned long long>(check::campaign_hash(r)));
-    if (core::save_campaign(cache_path, r)) {
-      std::printf("[mitigated campaign: cached to %s]\n\n", cache_path.c_str());
-    }
-    return r;
-  }();
-  return result;
+core::CampaignResult run_campaign(const char* name,
+                                  const core::ExperimentConfig& config) {
+  const check::Registry& contracts = check::Registry::instance();
+  const std::uint64_t violations_before = contracts.total_violations();
+  const auto t0 = std::chrono::steady_clock::now();
+  core::CampaignResult r = core::ExperimentHarness{config}.run_campaign_parallel(0);
+  const auto t1 = std::chrono::steady_clock::now();
+  std::printf("[%s campaign: %.1f s wall, hash %016llx, contract violations %llu]\n",
+              name, std::chrono::duration<double>(t1 - t0).count(),
+              static_cast<unsigned long long>(check::campaign_hash(r)),
+              static_cast<unsigned long long>(contracts.total_violations() -
+                                              violations_before));
+  return r;
 }
 
 double mean_fi_srr(const core::CampaignResult& campaign) {
@@ -75,8 +69,11 @@ int main() {
       "stack recover the 50 ms / 5 %% crash cases, and at what cost?\n\n",
       static_cast<unsigned long long>(core::ExperimentConfig{}.seed));
 
-  const core::CampaignResult& baseline = bench_helper::campaign();
-  const core::CampaignResult& mitigated = mitigated_campaign();
+  core::ExperimentConfig config{};
+  const core::CampaignResult baseline = run_campaign("baseline", config);
+  config.mitigation.enabled = true;
+  const core::CampaignResult mitigated = run_campaign("mitigated", config);
+  std::printf("\n");
 
   std::printf("%s\n", core::report::render_mitigation_ablation(baseline, mitigated).c_str());
   std::printf("%s\n", core::report::render_mitigation(mitigated).c_str());

@@ -1,6 +1,7 @@
 // Offline analysis CLI: reads the §V.F CSV logs written by scenario_lab /
-// full_campaign (or by an external rig using the same schema) and prints the
-// full metric report — the pipeline the paper ran over its recorded data.
+// bench_paper --dump-traces (or by an external rig using the same schema) and
+// prints the full metric report — the pipeline the paper ran over its
+// recorded data.
 //
 //   usage: analyze_trace <stem>            (expects <stem>_ego.csv,
 //                                           <stem>_others.csv,

@@ -4,7 +4,7 @@
 // campaign_hash.cpp / campaign_io.cpp (hashing, serialization and
 // deserialization) all walk the same lists, so the three views can never
 // drift apart: any field added here is automatically hashed by
-// check::campaign_hash and round-tripped by the campaign cache.
+// check::campaign_hash and round-tripped by serialize_campaign.
 //
 // The object type is a template parameter so the same list instantiates over
 // `T&` (reading into) and `const T&` (hashing / writing out). Archives
@@ -253,9 +253,9 @@ void subject_fields(Ar& ar, T& s) {
   questionnaire_fields(ar, s.questionnaire);
 }
 
-/// The campaign-level ExperimentConfig fields that shape the result (the
-/// full RdsConfig / SafetyMonitorConfig are covered separately by
-/// experiment_config_fingerprint, which keys the bench cache).
+/// The campaign-level ExperimentConfig fields that shape the result. The
+/// RdsConfig / SafetyMonitorConfig sub-configs are not folded (see
+/// ExperimentConfig), so the existing golden hashes stay stable.
 template <typename Ar, typename T>  // T: [const] ExperimentConfig
 void experiment_config_fields(Ar& ar, T& c) {
   ar.u64(c.seed);

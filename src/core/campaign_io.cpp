@@ -1,14 +1,7 @@
 #include "core/campaign_io.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-
-#include "check/hash.hpp"
 #include "core/campaign_fields.hpp"
 #include "core/campaign_hash.hpp"
-#include "mitigate/mitigation.hpp"
 #include "net/serialization.hpp"
 #include "util/units.hpp"
 
@@ -101,7 +94,8 @@ std::vector<std::uint8_t> serialize_campaign(const CampaignResult& campaign) {
   net::ByteWriter w;
   w.u32(kMagic);
   w.u32(kVersion);
-  w.u64(check::campaign_hash(campaign));
+  // check::campaign_hash is declared by core/campaign_hash.hpp.
+  w.u64(check::campaign_hash(campaign));  // lint:allow(missing-include)
   WriteArchive ar{w};
   detail::campaign_fields(ar, campaign);
   return w.take();
@@ -122,132 +116,6 @@ std::optional<CampaignResult> deserialize_campaign(const std::uint8_t* data,
 
 std::optional<CampaignResult> deserialize_campaign(const std::vector<std::uint8_t>& blob) {
   return deserialize_campaign(blob.data(), blob.size());
-}
-
-bool save_campaign(const std::string& path, const CampaignResult& campaign) {
-  const std::vector<std::uint8_t> blob = serialize_campaign(campaign);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    if (!out) return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
-  return !ec;
-}
-
-std::optional<CampaignResult> load_campaign(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return std::nullopt;
-  std::vector<std::uint8_t> blob{std::istreambuf_iterator<char>{in},
-                                 std::istreambuf_iterator<char>{}};
-  return deserialize_campaign(blob);
-}
-
-std::uint64_t experiment_config_fingerprint(const ExperimentConfig& config) {
-  check::Fnv1a h;
-  h.u64(config.seed);
-  h.f64(config.poi_fault_probability);
-  h.u64(config.fault_weights.size());
-  for (const double w : config.fault_weights) h.f64(w);
-  h.f64(config.run_time_limit.value());
-
-  // RDS numerics (hardware strings are documentation, not behaviour).
-  const RdsConfig& rds = config.rds;
-  h.f64(rds.station.video_fps);
-  h.f64(rds.station.display_latency.value());
-  h.f64(rds.station.input_latency.value());
-  h.f64(rds.station.wheel_range_deg);
-  h.f64(rds.station.command_rate_hz);
-  h.u32(rds.video.frame_wire_bytes);
-  h.u32(rds.video.command_wire_bytes);
-  h.u64(rds.video.sender_backlog_limit);
-  h.u32(rds.transport.mtu);
-  h.u32(rds.transport.header_overhead);
-  h.i64(rds.transport.rto_initial.count_micros());
-  h.i64(rds.transport.rto_min.count_micros());
-  h.i64(rds.transport.rto_max.count_micros());
-  h.u32(rds.transport.window_segments);
-  h.boolean(rds.transport.fast_retransmit);
-  h.i64(rds.transport.ack_delay.count_micros());
-  h.f64(rds.vehicle.wheelbase.value());
-  h.f64(rds.vehicle.max_steer_deg);
-  h.f64(rds.vehicle.max_steer_rate_deg);
-  h.f64(rds.vehicle.max_engine_accel.value());
-  h.f64(rds.vehicle.max_brake_decel.value());
-  h.f64(rds.vehicle.drag_coeff);
-  h.f64(rds.vehicle.rolling_resist.value());
-  h.f64(rds.vehicle.max_speed.value());
-  h.f64(rds.vehicle.throttle_tau.value());
-  h.f64(rds.vehicle.brake_tau.value());
-  h.f64(rds.vehicle.bbox.half_length);
-  h.f64(rds.vehicle.bbox.half_width);
-  h.f64(rds.road_scale);
-  h.str(rds.device);
-  h.f64(rds.physics_hz);
-  h.f64(rds.comms_hz);
-  h.f64(rds.log_hz);
-  h.boolean(rds.datagram_video);
-  h.boolean(rds.datagram_commands);
-
-  h.boolean(config.safety.enabled);
-  h.f64(config.safety.max_command_age.value());
-  h.f64(config.safety.brake_level);
-  h.f64(config.safety.speed_cap.value());
-
-  // Mitigation knobs fold unconditionally (the cache key must separate an
-  // enabled campaign from its disabled twin, and two enabled campaigns with
-  // different thresholds from each other).
-  const mitigate::MitigationConfig& mit = config.mitigation;
-  h.boolean(mit.enabled);
-  h.f64(mit.estimator.update_period.value());
-  h.f64(mit.estimator.rtt_alpha);
-  h.f64(mit.estimator.loss_alpha);
-  h.f64(mit.governor.degraded_rtt.value());
-  h.f64(mit.governor.degraded_loss);
-  h.f64(mit.governor.degraded_staleness.value());
-  h.f64(mit.governor.impaired_rtt.value());
-  h.f64(mit.governor.impaired_loss);
-  h.f64(mit.governor.impaired_staleness.value());
-  h.f64(mit.governor.link_loss_staleness.value());
-  h.f64(mit.governor.exit_margin);
-  h.f64(mit.governor.min_dwell.value());
-  for (const mitigate::StateLimits* lim :
-       {&mit.governor.degraded, &mit.governor.impaired, &mit.governor.link_loss}) {
-    h.f64(lim->speed_cap.value());
-    h.f64(lim->steer_rate_limit);
-    h.f64(lim->throttle_scale);
-  }
-  h.f64(mit.watchdog.deadline.value());
-  h.f64(mit.watchdog.recover_age.value());
-  h.f64(mit.watchdog.decel.value());
-  h.f64(mit.watchdog.lane_gain);
-  h.f64(mit.watchdog.heading_gain);
-  h.f64(mit.watchdog.max_steer);
-  h.f64(mit.watchdog.standstill.value());
-  h.f64(mit.watchdog.hold_brake);
-  return h.digest();
-}
-
-std::string campaign_cache_path(const ExperimentConfig& config,
-                                bool obs_instrumented) {
-  std::filesystem::path dir;
-  if (const char* env = std::getenv("RDSIM_CAMPAIGN_CACHE"); env != nullptr && *env != '\0') {
-    dir = env;
-  } else {
-    std::error_code ec;
-    dir = std::filesystem::temp_directory_path(ec);
-    if (ec) dir = ".";
-  }
-  char name[64];
-  std::snprintf(name, sizeof name, "rdsim_campaign_%016llx%s.bin",
-                static_cast<unsigned long long>(experiment_config_fingerprint(config)),
-                obs_instrumented ? "_obs" : "");
-  return (dir / name).string();
 }
 
 }  // namespace rdsim::core

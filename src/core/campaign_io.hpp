@@ -1,16 +1,14 @@
-// Campaign result serialization and the on-disk bench cache.
+// Campaign result serialization.
 //
 // A CampaignResult round-trips through the same little-endian byte format
 // the protocol layer uses; the blob embeds its own check::campaign_hash, and
-// load verifies it after deserializing, so a stale or corrupt artifact can
-// never masquerade as a fresh campaign. bench/campaign.hpp uses this to run
-// the 12-subject campaign once for the whole bench suite instead of once per
-// binary.
+// deserialize_campaign verifies it, so a stale or corrupt blob can never
+// masquerade as a fresh campaign. The campaign benchmark times the round trip
+// (core.io_s) and gates on it reproducing the campaign.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -24,35 +22,10 @@ std::vector<std::uint8_t> serialize_campaign(const CampaignResult& campaign);
 /// Parse a blob produced by serialize_campaign. Returns nullopt on a bad
 /// magic/version, truncation, trailing bytes, or when the recomputed
 /// campaign hash does not match the embedded one. The deserialized result
-/// carries default rds/safety sub-configs (only the campaign-level fields
-/// are stored); callers that need them exact should key their artifacts with
-/// experiment_config_fingerprint.
+/// carries default rds/safety sub-configs: only the campaign-level fields
+/// are stored.
 std::optional<CampaignResult> deserialize_campaign(const std::uint8_t* data,
                                                    std::size_t size);
 std::optional<CampaignResult> deserialize_campaign(const std::vector<std::uint8_t>& blob);
-
-/// Atomically write the blob to `path` (temp file + rename). Returns false
-/// on any I/O failure.
-bool save_campaign(const std::string& path, const CampaignResult& campaign);
-
-/// Load + verify; nullopt when the file is missing, unreadable or fails
-/// deserialize_campaign's checks.
-std::optional<CampaignResult> load_campaign(const std::string& path);
-
-/// Fingerprint of every ExperimentConfig field that shapes a campaign
-/// (including the rds/safety numerics that are not serialized), used to key
-/// cache artifacts: configs with different fingerprints can never share one.
-std::uint64_t experiment_config_fingerprint(const ExperimentConfig& config);
-
-/// Cache artifact path for `config`: $RDSIM_CAMPAIGN_CACHE (a directory) or
-/// the system temp directory, plus a fingerprint-keyed filename.
-/// `obs_instrumented` marks artifacts produced by a campaign that ran with
-/// an observability collector attached: the CampaignResult bytes are
-/// bit-identical either way (the golden suite proves it), but an
-/// obs-instrumented bench run also produces side artifacts (BENCH_obs.json,
-/// traces) that a plain cache hit could not regenerate, so the two must
-/// never share a cache entry.
-std::string campaign_cache_path(const ExperimentConfig& config,
-                                bool obs_instrumented = false);
 
 }  // namespace rdsim::core

@@ -36,14 +36,6 @@ std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint 
   return next_id_ - 1;
 }
 
-std::uint64_t Channel::send(LinkDirection dir, Payload payload, std::uint32_t wire_size,
-                            util::TimePoint now) {
-  Packet p;
-  p.payload = std::move(payload);
-  p.wire_size = wire_size;
-  return send(dir, std::move(p), now);
-}
-
 void Channel::step(util::TimePoint now) {
   Qdisc& q = root();
   const auto next = q.next_event_at();

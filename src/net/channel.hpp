@@ -46,15 +46,9 @@ class Channel {
 
   /// Queue `packet` for transmission at `now`. The channel assigns the
   /// packet id and flow from `dir`; everything else (payload, wire_size)
-  /// is the caller's. This is the primary, allocation-free entry point.
-  /// Returns the assigned packet id.
+  /// is the caller's. Lease the payload with acquire_payload() so buffers
+  /// recycle. Returns the assigned packet id.
   std::uint64_t send(LinkDirection dir, Packet&& packet, util::TimePoint now);
-
-  /// Convenience overload that wraps `payload` in a fresh Packet. Kept for
-  /// tests and tooling; production senders should lease a buffer with
-  /// acquire_payload() and use the Packet&& overload so buffers recycle.
-  std::uint64_t send(LinkDirection dir, Payload payload, std::uint32_t wire_size,
-                     util::TimePoint now);
 
   /// Move packets that have cleared the qdisc into the destination inboxes.
   /// Call once per simulation step (idempotent within a step). Early-outs

@@ -74,17 +74,6 @@ class PacketSink {
   virtual void accept(Packet&& packet) = 0;
 };
 
-/// PacketSink that appends to a vector — the test/tooling adaptor behind
-/// Qdisc::drain().
-class VectorSink final : public PacketSink {
- public:
-  explicit VectorSink(std::vector<Packet>& out) : out_{&out} {}
-  void accept(Packet&& packet) override { out_->push_back(std::move(packet)); }
-
- private:
-  std::vector<Packet>* out_;
-};
-
 /// Counters exported by every qdisc and link, mirroring `tc -s qdisc show`.
 struct QdiscStats {
   std::uint64_t enqueued{0};

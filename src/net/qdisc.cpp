@@ -19,13 +19,6 @@ std::string QdiscStats::summary() const {
   return os.str();
 }
 
-std::vector<Packet> Qdisc::drain(util::TimePoint now) {
-  std::vector<Packet> out;
-  VectorSink sink{out};
-  dequeue_ready(now, sink);
-  return out;
-}
-
 std::string Qdisc::summary() const {
   std::ostringstream os;
   os << "qdisc " << kind() << ": " << stats().summary() << " backlog "

@@ -54,10 +54,6 @@ class Qdisc {
   virtual const QdiscStats& stats() const = 0;
   virtual std::string kind() const = 0;
 
-  /// Convenience for tests and tooling: drain ready packets into a fresh
-  /// vector. The production path is the sink overload.
-  std::vector<Packet> drain(util::TimePoint now);
-
   /// `tc -s qdisc show`-style one-liner: kind, counters, live backlog.
   std::string summary() const;
 };

@@ -17,18 +17,6 @@ Payload ProtocolHeader::finish(ByteWriter& w) {
   return w.take();
 }
 
-Payload ProtocolHeader::seal(std::uint16_t stream_id, SegmentType type,
-                             const Payload& body) {
-  // Reserving the whole packet up front also keeps GCC's -O3 -Warray-bounds
-  // from misreading the growth path of the body append.
-  Payload buf;
-  buf.reserve(kSize + body.size());
-  ByteWriter w{std::move(buf)};
-  begin(w, stream_id, type);
-  w.raw(body.data(), body.size());
-  return finish(w);
-}
-
 std::optional<PacketView> open_packet_view(const Payload& packet_payload) {
   if (packet_payload.size() < ProtocolHeader::kSize) return std::nullopt;
   ByteReader r{packet_payload};
@@ -40,16 +28,6 @@ std::optional<PacketView> open_packet_view(const Payload& packet_payload) {
   view.body = ByteReader{packet_payload.data() + ProtocolHeader::kSize,
                          packet_payload.size() - ProtocolHeader::kSize};
   return view;
-}
-
-std::optional<ParsedPacket> open_packet(const Payload& packet_payload) {
-  const auto view = open_packet_view(packet_payload);
-  if (!view) return std::nullopt;
-  ParsedPacket parsed;
-  parsed.header = view->header;
-  parsed.body.assign(packet_payload.begin() + ProtocolHeader::kSize,
-                     packet_payload.end());
-  return parsed;
 }
 
 PacketRouter::Handler* PacketRouter::handler_for(std::uint16_t stream_id) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -41,20 +42,10 @@ struct ProtocolHeader {
   static constexpr std::size_t kSize = 2 + 1 + 4;  // stream, type, checksum
 
   /// In-place framing for pooled buffers: begin() writes the header, the
-  /// caller appends the body to the same writer, and finish() releases the
-  /// buffer. Byte-for-byte identical to seal() without the intermediate
-  /// body copy.
+  /// caller appends the body to the same writer, and finish() releases
+  /// the buffer.
   static void begin(ByteWriter& w, std::uint16_t stream_id, SegmentType type);
   static Payload finish(ByteWriter& w);
-
-  /// Serialize header + body.
-  static Payload seal(std::uint16_t stream_id, SegmentType type, const Payload& body);
-};
-
-/// Result of parsing a raw packet payload.
-struct ParsedPacket {
-  ProtocolHeader header;
-  Payload body;
 };
 
 /// A parsed packet viewed in place: `body` reads directly from the packet
@@ -66,10 +57,6 @@ struct PacketView {
 
 /// Parse without copying; nullopt on truncation or an unknown type.
 std::optional<PacketView> open_packet_view(const Payload& packet_payload);
-
-/// Parse; returns an owning copy of the body on success, nullopt on
-/// truncation or an unknown type. Prefer open_packet_view on hot paths.
-std::optional<ParsedPacket> open_packet(const Payload& packet_payload);
 
 /// Polls a channel and routes intact packets to registered streams.
 class PacketRouter {

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <stdexcept>
@@ -23,8 +22,6 @@ RegistryState& registry() {
   static RegistryState state;
   return state;
 }
-
-std::atomic<bool> g_enabled{true};
 
 #if RDSIM_OBS
 thread_local Context* t_current = nullptr;
@@ -138,10 +135,6 @@ MetricId find_metric(std::string_view name) {
   const util::MutexLock lock{state.mutex};
   return find_def(state, name);
 }
-
-void set_enabled(bool enabled) { g_enabled.store(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 namespace {
 
@@ -311,7 +304,7 @@ Context* Context::current() {
 ContextScope::ContextScope(Context* context) {
 #if RDSIM_OBS
   previous_ = t_current;
-  t_current = enabled() ? context : nullptr;
+  t_current = context;
 #else
   (void)context;
 #endif

@@ -79,11 +79,6 @@ const MetricDef& metric_def(MetricId id);
 /// Id registered under `name`, or metric_count() when unknown.
 MetricId find_metric(std::string_view name);
 
-/// Runtime master switch (default on). When off, ContextScope installs no
-/// context, so every instrumentation site reduces to a TLS load + branch.
-void set_enabled(bool enabled);
-bool enabled();
-
 /// True when the instrumentation macros are compiled in (RDSIM_OBS != 0).
 constexpr bool compiled_in() { return RDSIM_OBS != 0; }
 
@@ -179,10 +174,9 @@ class Context {
   std::vector<Instant> instants_;
 };
 
-/// RAII thread-local installer. Passing nullptr (or constructing while
-/// obs::enabled() is false) installs no context, which disables every
-/// instrument on this thread for the scope's lifetime. Restores the previous
-/// context on destruction, so scopes nest.
+/// RAII thread-local installer. Passing nullptr installs no context, which
+/// disables every instrument on this thread for the scope's lifetime.
+/// Restores the previous context on destruction, so scopes nest.
 class ContextScope {
  public:
   explicit ContextScope(Context* context);

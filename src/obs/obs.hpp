@@ -19,9 +19,10 @@
 //   - compile time: the RDSIM_OBS macro (default 1; `cmake -DRDSIM_OBS_ENABLED=OFF`
 //     defines it to 0 globally). At 0 the RDSIM_OBS_* macros expand to
 //     nothing and Context::current() is a constant nullptr.
-//   - run time: obs::set_enabled(false) keeps ContextScope from installing a
-//     context, and with no context installed every instrumentation site is a
-//     single thread-local load plus a predictable branch.
+//   - run time: only code that installs a context (a ContextScope, e.g. the
+//     harness with a collector attached) is observed; with no context
+//     installed, or under ContextScope{nullptr}, every instrumentation site
+//     is a single thread-local load plus a predictable branch.
 //
 // The cardinal rule — enforced by the golden-hash regression suite — is that
 // observation NEVER perturbs the simulation: instruments only read sim

@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "check/contracts.hpp"
 #include "check/replay.hpp"
 #include "core/campaign_hash.hpp"
 #include "core/experiment.hpp"
@@ -42,15 +43,29 @@ ExperimentConfig golden_config(std::uint64_t seed) {
 
 // Serial reference campaigns, one per (configuration, seed), shared by every
 // test in this binary (the parallel sweeps reuse the serial hash as their
-// baseline).
+// baseline), with the contract violations each one fired.
+struct SerialRun {
+  CampaignResult campaign;
+  std::uint64_t violations;  ///< check::Registry delta over the run
+};
+
 template <ExperimentConfig (*MakeConfig)(std::uint64_t)>
-const CampaignResult& serial_campaign(std::uint64_t seed) {
-  static std::map<std::uint64_t, CampaignResult> cache;
+const SerialRun& serial_run(std::uint64_t seed) {
+  static std::map<std::uint64_t, SerialRun> cache;
   auto it = cache.find(seed);
   if (it == cache.end()) {
-    it = cache.emplace(seed, ExperimentHarness{MakeConfig(seed)}.run_campaign()).first;
+    const check::Registry& contracts = check::Registry::instance();
+    const std::uint64_t before = contracts.total_violations();
+    CampaignResult campaign = ExperimentHarness{MakeConfig(seed)}.run_campaign();
+    const std::uint64_t violations = contracts.total_violations() - before;
+    it = cache.emplace(seed, SerialRun{std::move(campaign), violations}).first;
   }
   return it->second;
+}
+
+template <ExperimentConfig (*MakeConfig)(std::uint64_t)>
+const CampaignResult& serial_campaign(std::uint64_t seed) {
+  return serial_run<MakeConfig>(seed).campaign;
 }
 
 struct GoldenEntry {
@@ -162,8 +177,18 @@ void expect_corpus_matches(const char* name, const GoldenEntry (&table)[N]) {
   }
 }
 
+// A campaign whose contracts fire is wrong even when its hash matches.
+template <ExperimentConfig (*MakeConfig)(std::uint64_t), std::size_t N>
+void expect_no_contract_violations(const GoldenEntry (&table)[N]) {
+  for (const GoldenEntry& entry : table) {
+    EXPECT_EQ(serial_run<MakeConfig>(entry.seed).violations, 0u)
+        << "contracts fired in the campaign at seed " << entry.seed;
+  }
+}
+
 TEST(CampaignGolden, HashCorpusMatchesCheckedInTable) {
   expect_corpus_matches<golden_config>("kGolden", kGolden);
+  expect_no_contract_violations<golden_config>(kGolden);
 }
 
 TEST(CampaignGolden, ParallelMatchesSerialForEveryWorkerCount) {
@@ -185,7 +210,6 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
   // subject hashes must equal the checked-in corpus values, serially and at
   // every worker count. Observation reads sim state; it never touches an
   // RNG stream, the virtual clock, or any hashed value.
-  obs::set_enabled(true);
   for (const GoldenEntry& entry : kGolden) {
     ExperimentHarness harness{golden_config(entry.seed)};
     obs::CampaignCollector collector;
@@ -235,7 +259,6 @@ TEST(CampaignGolden, ObsAggregationIsWorkerCountIndependent) {
   // the same campaign report regardless of worker count: contexts merge in
   // run-id order, never completion order. Compare full per-run counter,
   // gauge and histogram state across worker counts.
-  obs::set_enabled(true);
   const std::uint64_t seed = 42;
   auto collect = [&](std::size_t workers) {
     ExperimentHarness harness{golden_config(seed)};
@@ -386,6 +409,7 @@ constexpr GoldenEntry kGoldenDatagram[] = {
 
 TEST(CampaignGoldenDatagram, HashCorpusMatchesCheckedInTable) {
   expect_corpus_matches<datagram_config>("kGoldenDatagram", kGoldenDatagram);
+  expect_no_contract_violations<datagram_config>(kGoldenDatagram);
 }
 
 TEST(CampaignGoldenDatagram, NoRunUsesAReliableStream) {

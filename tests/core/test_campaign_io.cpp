@@ -1,11 +1,6 @@
-// Campaign serialization: round-trip fidelity (verified by campaign_hash),
-// rejection of corrupt/truncated blobs, file save/load, and fingerprint
-// sensitivity for the bench cache keys.
+// Campaign serialization: round-trip fidelity (verified by campaign_hash)
+// and rejection of corrupt/truncated blobs.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "core/campaign_hash.hpp"
 #include "core/campaign_io.hpp"
@@ -69,31 +64,6 @@ TEST(CampaignIo, BitFlipsFailTheEmbeddedHashCheck) {
   }
 }
 
-TEST(CampaignIo, SaveAndLoadRoundTripsThroughAFile) {
-  const CampaignResult& campaign = mini_campaign();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rdsim_test_campaign_io.bin")
-          .string();
-  ASSERT_TRUE(save_campaign(path, campaign));
-  const auto loaded = load_campaign(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(check::campaign_hash(*loaded), check::campaign_hash(campaign));
-  std::remove(path.c_str());
-}
-
-TEST(CampaignIo, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_FALSE(load_campaign("/nonexistent/rdsim_no_such_file.bin").has_value());
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rdsim_test_campaign_bad.bin")
-          .string();
-  {
-    std::ofstream f{path, std::ios::binary | std::ios::trunc};
-    f << "not a campaign blob";
-  }
-  EXPECT_FALSE(load_campaign(path).has_value());
-  std::remove(path.c_str());
-}
-
 TEST(CampaignIo, RoundTripPreservesMitigationBlocks) {
   // A mitigated campaign carries the opt_block payloads (config knobs and
   // per-run summaries); they must survive the wire format bit-exactly.
@@ -121,55 +91,6 @@ TEST(CampaignIo, RoundTripPreservesMitigationBlocks) {
     EXPECT_EQ(out.final_loss, in.final_loss);
   }
   EXPECT_EQ(serialize_campaign(*loaded), blob);
-}
-
-TEST(CampaignFingerprint, DistinguishesEveryCampaignShapingField) {
-  const ExperimentConfig base;
-  const std::uint64_t fp = experiment_config_fingerprint(base);
-  EXPECT_EQ(fp, experiment_config_fingerprint(base));  // stable
-
-  ExperimentConfig seed = base;
-  seed.seed = 8;
-  ExperimentConfig poi = base;
-  poi.poi_fault_probability = 0.5;
-  ExperimentConfig weights = base;
-  weights.fault_weights[0] += 1.0;
-  ExperimentConfig cap = base;
-  cap.run_time_limit = units::Seconds{20.0};
-  ExperimentConfig rds = base;
-  rds.rds.station.video_fps = 29.0;
-  ExperimentConfig safety = base;
-  safety.safety.enabled = !safety.safety.enabled;
-  ExperimentConfig mit = base;
-  mit.mitigation.enabled = true;
-  ExperimentConfig mit_knob = mit;
-  mit_knob.mitigation.watchdog.deadline = units::Seconds{0.8};
-  for (const auto* changed : {&seed, &poi, &weights, &cap, &rds, &safety, &mit}) {
-    EXPECT_NE(experiment_config_fingerprint(*changed), fp);
-  }
-  // Two enabled campaigns with different thresholds must not share a cache.
-  EXPECT_NE(experiment_config_fingerprint(mit_knob),
-            experiment_config_fingerprint(mit));
-}
-
-TEST(CampaignFingerprint, CachePathIsKeyedByFingerprint) {
-  const ExperimentConfig base;
-  ExperimentConfig other = base;
-  other.seed = 1234;
-  EXPECT_NE(campaign_cache_path(base), campaign_cache_path(other));
-  EXPECT_EQ(campaign_cache_path(base), campaign_cache_path(base));
-}
-
-TEST(CampaignFingerprint, CachePathSeparatesObsInstrumentedRuns) {
-  // An obs-instrumented campaign produces side artifacts (report, trace) a
-  // plain cache hit cannot regenerate, so the obs flag must key the path.
-  const ExperimentConfig base;
-  const std::string plain = campaign_cache_path(base, /*obs_instrumented=*/false);
-  const std::string obs = campaign_cache_path(base, /*obs_instrumented=*/true);
-  EXPECT_NE(plain, obs);
-  EXPECT_EQ(plain, campaign_cache_path(base));  // default is un-instrumented
-  EXPECT_NE(obs.find("_obs"), std::string::npos);
-  EXPECT_EQ(plain.find("_obs"), std::string::npos);
 }
 
 }  // namespace

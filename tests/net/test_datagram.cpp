@@ -2,6 +2,7 @@
 
 #include "net/datagram.hpp"
 #include "net/serialization.hpp"
+#include "net_test_util.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -82,8 +83,8 @@ TEST_F(DgramFixture, WrongDirectionPacketsIgnored) {
   w.u32(0);
   w.u64(0);
   w.bytes({1});
-  channel.send(LinkDirection::kDownlink,
-               ProtocolHeader::seal(3, SegmentType::kDatagram, w.take()), 50, TimePoint{});
+  send(channel, LinkDirection::kDownlink, seal(3, SegmentType::kDatagram, w.take()), 50,
+       TimePoint{});
   router.poll(TimePoint{});
   EXPECT_FALSE(sock.receive().has_value());
 }

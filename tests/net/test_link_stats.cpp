@@ -2,6 +2,7 @@
 
 #include "net/channel.hpp"
 #include "net/tc.hpp"
+#include "net_test_util.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -54,8 +55,8 @@ TEST(NetemDescribe, RoundTripsThroughParser) {
 TEST(Channel, StatsSeparatedByDirection) {
   TrafficControl tc;
   Channel ch{tc, "lo"};
-  for (int i = 0; i < 3; ++i) ch.send(LinkDirection::kDownlink, {1}, 100, TimePoint{});
-  ch.send(LinkDirection::kUplink, {2}, 50, TimePoint{});
+  for (int i = 0; i < 3; ++i) send(ch, LinkDirection::kDownlink, {1}, 100, TimePoint{});
+  send(ch, LinkDirection::kUplink, {2}, 50, TimePoint{});
   ch.step(TimePoint{});
   EXPECT_EQ(ch.stats(LinkDirection::kDownlink).packets_sent, 3u);
   EXPECT_EQ(ch.stats(LinkDirection::kUplink).packets_sent, 1u);

@@ -3,6 +3,7 @@
 
 #include "check/contracts.hpp"
 #include "net/netem.hpp"
+#include "net_test_util.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -21,7 +22,7 @@ Packet make_packet(std::uint64_t id, std::uint32_t bytes = 100) {
 TEST(FifoQdisc, PassesThroughImmediately) {
   FifoQdisc q{10};
   q.enqueue(make_packet(1), TimePoint{});
-  auto out = q.drain(TimePoint{});
+  auto out = drain(q, TimePoint{});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 1u);
   EXPECT_EQ(q.stats().dequeued, 1u);
@@ -31,7 +32,7 @@ TEST(FifoQdisc, TailDropsOverLimit) {
   FifoQdisc q{2};
   for (int i = 0; i < 5; ++i) q.enqueue(make_packet(static_cast<std::uint64_t>(i)), TimePoint{});
   EXPECT_EQ(q.stats().dropped_overlimit, 3u);
-  EXPECT_EQ(q.drain(TimePoint{}).size(), 2u);
+  EXPECT_EQ(drain(q, TimePoint{}).size(), 2u);
 }
 
 TEST(Netem, FixedDelayHoldsPacket) {
@@ -39,8 +40,8 @@ TEST(Netem, FixedDelayHoldsPacket) {
   cfg.delay = Duration::millis(50);
   NetemQdisc q{cfg};
   q.enqueue(make_packet(1), TimePoint{});
-  EXPECT_TRUE(q.drain(TimePoint::from_micros(49999)).empty());
-  auto out = q.drain(TimePoint::from_micros(50000));
+  EXPECT_TRUE(drain(q, TimePoint::from_micros(49999)).empty());
+  auto out = drain(q, TimePoint::from_micros(50000));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(q.backlog(), 0u);
 }
@@ -60,7 +61,7 @@ TEST(Netem, PreservesFifoOrderForEqualDelay) {
   cfg.delay = Duration::millis(10);
   NetemQdisc q{cfg};
   for (std::uint64_t i = 0; i < 20; ++i) q.enqueue(make_packet(i), TimePoint{});
-  const auto out = q.drain(TimePoint::from_micros(10000));
+  const auto out = drain(q, TimePoint::from_micros(10000));
   ASSERT_EQ(out.size(), 20u);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(out[i].id, i);
 }
@@ -72,8 +73,8 @@ TEST(Netem, JitterStaysWithinBounds) {
   NetemQdisc q{cfg, /*seed=*/3};
   for (std::uint64_t i = 0; i < 500; ++i) q.enqueue(make_packet(i), TimePoint{});
   // Nothing before 15 ms, everything by 25 ms.
-  EXPECT_TRUE(q.drain(TimePoint::from_micros(14999)).empty());
-  const auto out = q.drain(TimePoint::from_micros(25000));
+  EXPECT_TRUE(drain(q, TimePoint::from_micros(14999)).empty());
+  const auto out = drain(q, TimePoint::from_micros(25000));
   EXPECT_EQ(out.size(), 500u);
 }
 
@@ -93,7 +94,7 @@ TEST(Netem, ZeroLossDropsNothing) {
   NetemQdisc q{cfg, 7};
   for (int i = 0; i < 1000; ++i) q.enqueue(make_packet(static_cast<std::uint64_t>(i)), TimePoint{});
   EXPECT_EQ(q.stats().dropped_loss, 0u);
-  EXPECT_EQ(q.drain(TimePoint{}).size(), 1000u);
+  EXPECT_EQ(drain(q, TimePoint{}).size(), 1000u);
 }
 
 TEST(Netem, CorrelatedLossClustersBursts) {
@@ -142,7 +143,7 @@ TEST(Netem, DuplicationCreatesCopies) {
   NetemQdisc q{cfg, 13};
   const int n = 2000;
   for (int i = 0; i < n; ++i) q.enqueue(make_packet(static_cast<std::uint64_t>(i)), TimePoint{});
-  const auto out = q.drain(TimePoint{});
+  const auto out = drain(q, TimePoint{});
   EXPECT_NEAR(static_cast<double>(out.size()), n * 1.5, n * 0.06);
   EXPECT_GT(q.stats().duplicated, 0u);
   std::size_t dup_flagged = 0;
@@ -159,7 +160,7 @@ TEST(Netem, CorruptionFlipsExactlyOneBit) {
   Packet p = make_packet(1, 64);
   const Payload original = p.payload;
   q.enqueue(std::move(p), TimePoint{});
-  auto out = q.drain(TimePoint{});
+  auto out = drain(q, TimePoint{});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].corrupted);
   int bit_diffs = 0;
@@ -180,11 +181,11 @@ TEST(Netem, ReorderSendsSelectedPacketsImmediately) {
   cfg.reorder_gap = 5;  // every 5th packet jumps the queue
   NetemQdisc q{cfg, 19};
   for (std::uint64_t i = 1; i <= 10; ++i) q.enqueue(make_packet(i), TimePoint{});
-  const auto early = q.drain(TimePoint{});
+  const auto early = drain(q, TimePoint{});
   ASSERT_EQ(early.size(), 2u);  // packets 5 and 10
   EXPECT_EQ(early[0].id, 5u);
   EXPECT_EQ(early[1].id, 10u);
-  const auto late = q.drain(TimePoint::from_micros(100000));
+  const auto late = drain(q, TimePoint::from_micros(100000));
   EXPECT_EQ(late.size(), 8u);
 }
 
@@ -193,10 +194,10 @@ TEST(Netem, RateControlSpacesPackets) {
   cfg.rate = units::BytesPerSecond{1000.0};  // 1 KB/s; 100-byte packet = 100 ms each
   NetemQdisc q{cfg, 23};
   for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(make_packet(i, 100), TimePoint{});
-  EXPECT_EQ(q.drain(TimePoint::from_micros(99000)).size(), 0u);
-  EXPECT_EQ(q.drain(TimePoint::from_micros(100000)).size(), 1u);
-  EXPECT_EQ(q.drain(TimePoint::from_micros(200000)).size(), 1u);
-  EXPECT_EQ(q.drain(TimePoint::from_micros(300000)).size(), 1u);
+  EXPECT_EQ(drain(q, TimePoint::from_micros(99000)).size(), 0u);
+  EXPECT_EQ(drain(q, TimePoint::from_micros(100000)).size(), 1u);
+  EXPECT_EQ(drain(q, TimePoint::from_micros(200000)).size(), 1u);
+  EXPECT_EQ(drain(q, TimePoint::from_micros(300000)).size(), 1u);
 }
 
 TEST(Netem, LimitDropsWhenFull) {
@@ -218,10 +219,10 @@ TEST(Netem, ChangeKeepsQueuedReleaseTimes) {
   faster.delay = Duration::millis(1);
   q.change(faster);
   // The queued packet keeps its 100 ms schedule...
-  EXPECT_TRUE(q.drain(TimePoint::from_micros(50000)).empty());
+  EXPECT_TRUE(drain(q, TimePoint::from_micros(50000)).empty());
   // ...while new packets use the new delay.
   q.enqueue(make_packet(2), TimePoint::from_micros(50000));
-  const auto out = q.drain(TimePoint::from_micros(51000));
+  const auto out = drain(q, TimePoint::from_micros(51000));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 2u);
 }
@@ -238,8 +239,8 @@ TEST(Netem, DeterministicForSameSeed) {
     q2.enqueue(make_packet(i), TimePoint{});
   }
   EXPECT_EQ(q1.stats().dropped_loss, q2.stats().dropped_loss);
-  const auto o1 = q1.drain(TimePoint::from_micros(7000));
-  const auto o2 = q2.drain(TimePoint::from_micros(7000));
+  const auto o1 = drain(q1, TimePoint::from_micros(7000));
+  const auto o2 = drain(q2, TimePoint::from_micros(7000));
   ASSERT_EQ(o1.size(), o2.size());
   for (std::size_t i = 0; i < o1.size(); ++i) EXPECT_EQ(o1[i].id, o2[i].id);
 }
@@ -268,7 +269,7 @@ TEST_P(JitterDistributionTest, DelaysNeverNegativeAndMeanNearBase) {
   std::size_t total = 0;
   double sum_ms = 0.0;
   for (int ms = 0; ms <= 60; ++ms) {
-    const auto out = q.drain(TimePoint::from_micros(ms * 1000));
+    const auto out = drain(q, TimePoint::from_micros(ms * 1000));
     total += out.size();
     sum_ms += static_cast<double>(out.size()) * ms;
   }
@@ -305,8 +306,8 @@ TEST(Netem, CustomDistributionTableShapesJitter) {
       DelayDistributionTable::from_values({8192}));
   NetemQdisc q{cfg, 77};
   for (std::uint64_t i = 0; i < 50; ++i) q.enqueue(make_packet(i), TimePoint{});
-  EXPECT_TRUE(q.drain(TimePoint::from_micros(24999)).empty());
-  EXPECT_EQ(q.drain(TimePoint::from_micros(25000)).size(), 50u);
+  EXPECT_TRUE(drain(q, TimePoint::from_micros(24999)).empty());
+  EXPECT_EQ(drain(q, TimePoint::from_micros(25000)).size(), 50u);
 }
 
 TEST(Netem, TableDistributionWithoutTableThrows) {

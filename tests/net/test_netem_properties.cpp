@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "net/tc.hpp"
+#include "net_test_util.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -53,8 +54,8 @@ TEST_P(DelayProperty, AllPacketsDelayedExactly) {
   // The last packet was enqueued at t = 99.5 ms; everything must be out by
   // that time plus the delay, and nothing before the delay has elapsed for
   // the first packet.
-  EXPECT_TRUE(q.drain(TimePoint::from_micros(ms * 1000 - 1)).empty());
-  const auto all = q.drain(
+  EXPECT_TRUE(drain(q, TimePoint::from_micros(ms * 1000 - 1)).empty());
+  const auto all = drain(q, 
       TimePoint::from_micros((ms + 100) * 1000));
   EXPECT_EQ(all.size(), 200u);
 }
@@ -104,9 +105,9 @@ TEST_P(RateControlProperty, ThroughputMatchesConfiguredRate) {
   }
   // Time for all n packets: n * size / rate.
   const double total_s = n * static_cast<double>(size) / rate;
-  const auto almost = q.drain(TimePoint::from_seconds(total_s * 0.95));
+  const auto almost = drain(q, TimePoint::from_seconds(total_s * 0.95));
   EXPECT_LT(almost.size(), static_cast<std::size_t>(n));
-  const auto rest = q.drain(TimePoint::from_seconds(total_s * 1.001));
+  const auto rest = drain(q, TimePoint::from_seconds(total_s * 1.001));
   EXPECT_EQ(almost.size() + rest.size(), static_cast<std::size_t>(n));
 }
 
@@ -168,7 +169,7 @@ TEST_P(ZeroJitterOrderProperty, DelayedPacketsNeverReorder) {
   std::uint64_t next_expected = 0;
   const std::int64_t horizon_us = (ms + 200) * 1000;
   for (std::int64_t t = 0; t <= horizon_us; t += 500) {
-    for (const Packet& out : q.drain(TimePoint::from_micros(t))) {
+    for (const Packet& out : drain(q, TimePoint::from_micros(t))) {
       ASSERT_EQ(out.id, next_expected) << "reordered at t=" << t << "us";
       ++next_expected;
     }

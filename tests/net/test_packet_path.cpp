@@ -10,6 +10,7 @@
 #include "check/hash.hpp"
 #include "net/reliable_stream.hpp"
 #include "util/alloc_hook.hpp"
+#include "net_test_util.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -112,7 +113,7 @@ TEST(NetemHeap, EqualReleaseTimesPreserveInsertionOrder) {
     p.id = i;
     q.enqueue(std::move(p), TimePoint{});
   }
-  const auto out = q.drain(TimePoint::from_micros(10000));
+  const auto out = drain(q, TimePoint::from_micros(10000));
   ASSERT_EQ(out.size(), 100u);
   for (std::uint64_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].id, i);
 }
@@ -150,7 +151,7 @@ TEST(NetemHeap, MatchesStableSortByReleaseTime) {
                    [](const Expected& a, const Expected& b) {
                      return a.release_us < b.release_us;
                    });
-  const auto out = q.drain(TimePoint::from_micros(1000000));
+  const auto out = drain(q, TimePoint::from_micros(1000000));
   ASSERT_EQ(out.size(), expected.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].id, expected[i].id) << "position " << i;
@@ -166,7 +167,7 @@ TEST(NetemHeap, DuplicateIsReleasedBeforeTheOriginal) {
   p.id = 1;
   p.payload = {42};
   q.enqueue(std::move(p), TimePoint{});
-  const auto out = q.drain(TimePoint::from_micros(5000));
+  const auto out = drain(q, TimePoint::from_micros(5000));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(out[0].duplicate);   // clone was scheduled first
   EXPECT_FALSE(out[1].duplicate);
@@ -198,7 +199,7 @@ std::uint64_t delivered_digest(std::uint64_t seed, const std::string& rule,
       p.wire_size = static_cast<std::uint32_t>(bytes.size()) + 40;
       ch.send(dir, std::move(p), now);
     } else {
-      ch.send(dir, bytes, static_cast<std::uint32_t>(bytes.size()) + 40, now);
+      send(ch, dir, bytes, static_cast<std::uint32_t>(bytes.size()) + 40, now);
     }
     ch.step(now);
     for (const LinkDirection d : {LinkDirection::kDownlink, LinkDirection::kUplink}) {
@@ -374,7 +375,7 @@ TEST(ChannelNextEvent, TracksTheRootQdisc) {
   Channel ch{tc, "lo"};
   tc.add("lo", parse_netem("delay 30ms"));
   EXPECT_FALSE(ch.next_event_at().has_value());
-  ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
+  send(ch, LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ASSERT_TRUE(ch.next_event_at().has_value());
   EXPECT_EQ(ch.next_event_at()->count_micros(), 30000);
   ASSERT_TRUE(tc.next_event_at("lo").has_value());
