@@ -15,13 +15,19 @@
 //   - the delivered-byte digest of the steady scenario must be identical on
 //     a fresh channel and on one whose payload pool was pre-warmed with junk
 //     buffers (pooling may change where bytes live, never what they are);
-//   - the digest must be reproducible across two runs (exit 1 otherwise).
+//   - the digest must be reproducible across two runs (exit 1 otherwise);
+//   - with --expect-digest H (16 hex digits) the digest must be H, which
+//     pins the delivered bytes across builds, not just within one run.
+//     The test suite passes the --quick digest at the default seed,
+//     f67e5394ce205518 (the full run's is f38f6e0ee15921cd).
 //
-//   usage: bench_packet_path [--quick] [--out FILE] [seed]
+//   usage: bench_packet_path [--quick] [--out FILE] [--expect-digest H] [seed]
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "check/hash.hpp"
@@ -154,6 +160,15 @@ double qdisc_packets_per_second(std::uint64_t packets) {
   return s > 0.0 ? static_cast<double>(packets + released) / s : 0.0;
 }
 
+/// Parses 16 hex digits; nullopt for anything else.
+std::optional<std::uint64_t> parse_digest(const char* text) {
+  if (std::strlen(text) != 16) return std::nullopt;
+  char* end = nullptr;
+  const std::uint64_t value = std::strtoull(text, &end, 16);
+  if (end != text + 16) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,6 +177,7 @@ int main(int argc, char** argv) {
   std::uint64_t idle_ticks = 2000000;
   std::uint64_t qdisc_packets = 2000000;
   std::string out_path = "BENCH_packet_path.json";
+  std::optional<std::uint64_t> expected_digest;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       ticks = 20000;
@@ -169,6 +185,13 @@ int main(int argc, char** argv) {
       qdisc_packets = 200000;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--expect-digest") == 0 && i + 1 < argc) {
+      expected_digest = parse_digest(argv[++i]);
+      if (!expected_digest) {
+        std::fprintf(stderr, "usage: --expect-digest takes 16 hex digits, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
     } else {
       seed = std::strtoull(argv[i], nullptr, 10);
     }
@@ -260,6 +283,12 @@ int main(int argc, char** argv) {
 
   if (!reproducible || !pool_transparent) {
     std::fprintf(stderr, "FAIL: delivered-stream digest diverged\n");
+    return 1;
+  }
+  if (expected_digest && fresh.digest != *expected_digest) {
+    std::fprintf(stderr, "FAIL: delivered-stream digest %016llx, expected %016llx\n",
+                 static_cast<unsigned long long>(fresh.digest),
+                 static_cast<unsigned long long>(*expected_digest));
     return 1;
   }
   if (idle_allocs != 0) {

@@ -4,7 +4,7 @@
 // analysis and the §VI.F questionnaire, each followed by the paper's
 // reference figures, then the campaign's contract-violation count and hash.
 //
-//   usage: bench_paper [--dump-traces] [seed]
+//   usage: bench_paper [--dump-traces] [--expect-hash H] [seed]
 //
 // The campaign runs once, in process, on the thread-pool runner (bit-identical
 // to the serial runner). --dump-traces also writes the 24 runs' raw traces as
@@ -13,13 +13,17 @@
 // attached and writes BENCH_obs.json and campaign_sample.trace.json.
 //
 // Exits non-zero when any contract fired during the campaign: a campaign
-// whose contracts fire is wrong even when its hash is stable.
+// whose contracts fire is wrong even when its hash is stable. With
+// --expect-hash H (16 hex digits) it also exits non-zero unless the campaign
+// hash is H; the test suite runs `--expect-hash eaddc6da559ac7ff` (the
+// default seed 14) so that every number the tables print is pinned.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -140,14 +144,31 @@ void dump_traces(const core::CampaignResult& campaign) {
   std::printf("\nwrote 24 x 3 trace CSV files to the working directory\n");
 }
 
+/// Parses 16 hex digits; nullopt for anything else.
+std::optional<std::uint64_t> parse_hash(const char* text) {
+  if (std::strlen(text) != 16) return std::nullopt;
+  char* end = nullptr;
+  const std::uint64_t value = std::strtoull(text, &end, 16);
+  if (end != text + 16) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool dump = false;
+  std::optional<std::uint64_t> expected_hash;
   core::ExperimentConfig cfg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dump-traces") == 0) {
       dump = true;
+    } else if (std::strcmp(argv[i], "--expect-hash") == 0 && i + 1 < argc) {
+      expected_hash = parse_hash(argv[++i]);
+      if (!expected_hash) {
+        std::fprintf(stderr, "usage: --expect-hash takes 16 hex digits, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
     } else {
       cfg.seed = std::strtoull(argv[i], nullptr, 10);
     }
@@ -190,10 +211,17 @@ int main(int argc, char** argv) {
   std::printf("\ncontract violations: %llu\n",
               static_cast<unsigned long long>(violations));
   std::printf("campaign hash: %016llx\n", static_cast<unsigned long long>(hash));
+  int status = 0;
   if (violations != 0) {
     std::fprintf(stderr, "FAIL: %llu contract violation(s) during the campaign\n",
                  static_cast<unsigned long long>(violations));
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (expected_hash && hash != *expected_hash) {
+    std::fprintf(stderr, "FAIL: campaign hash %016llx, expected %016llx\n",
+                 static_cast<unsigned long long>(hash),
+                 static_cast<unsigned long long>(*expected_hash));
+    status = 1;
+  }
+  return status;
 }

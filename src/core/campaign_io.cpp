@@ -94,8 +94,7 @@ std::vector<std::uint8_t> serialize_campaign(const CampaignResult& campaign) {
   net::ByteWriter w;
   w.u32(kMagic);
   w.u32(kVersion);
-  // check::campaign_hash is declared by core/campaign_hash.hpp.
-  w.u64(check::campaign_hash(campaign));  // lint:allow(missing-include)
+  w.u64(check::campaign_hash(campaign));
   WriteArchive ar{w};
   detail::campaign_fields(ar, campaign);
   return w.take();

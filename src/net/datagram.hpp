@@ -20,7 +20,7 @@ struct DatagramMessage {
   util::TimePoint delivered_at{};
 };
 
-class DatagramSocket {
+class DatagramSocket final : private PacketEndpoint {
  public:
   DatagramSocket(PacketRouter& router, Channel& channel, std::uint16_t stream_id,
                  LinkDirection send_direction);
@@ -43,7 +43,7 @@ class DatagramSocket {
 
  private:
   void on_packet(const ProtocolHeader& header, ByteReader body, LinkDirection via,
-                 util::TimePoint now);
+                 util::TimePoint now) override;
 
   Channel* channel_;
   std::uint16_t stream_id_;

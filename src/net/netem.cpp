@@ -247,7 +247,7 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
   }
   if (send_immediately) {
     delay = util::Duration{};
-    if (!queue_.empty()) {
+    if (backlog() > 0) {
       ++stats_.reordered;
       RDSIM_OBS_COUNT(obs::metric::kNetemReordered, 1);
     }
@@ -264,7 +264,7 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
     last_tx_finish_ = release;
   }
 
-  if (queue_.size() >= config_.limit) {
+  if (backlog() >= config_.limit) {
     ++stats_.dropped_overlimit;
     RDSIM_OBS_COUNT(obs::metric::kNetemDroppedOverlimit, 1);
     return;
@@ -272,7 +272,7 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
 
   RDSIM_ENSURE(release >= now, "netem release time cannot precede enqueue time");
 
-  if (duplicate && queue_.size() + 1 < config_.limit) {
+  if (duplicate && backlog() + 1 < config_.limit) {
     Packet copy = packet.clone();
     copy.duplicate = true;
     ++stats_.duplicated;
@@ -280,26 +280,43 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
     schedule(std::move(copy), release);
   }
   schedule(std::move(packet), release);
-  RDSIM_OBS_GAUGE_SET(obs::metric::kNetemDepth,
-                      static_cast<double>(queue_.size()));
+  RDSIM_OBS_GAUGE_SET(obs::metric::kNetemDepth, static_cast<double>(backlog()));
 }
 
 void NetemQdisc::schedule(Packet packet, util::TimePoint release) {
   backlog_bytes_ += packet.effective_wire_size();
-  queue_.push_back(Scheduled{release, seq_++, std::move(packet)});
-  std::push_heap(queue_.begin(), queue_.end(), ScheduledAfter{});
+  Scheduled s{release, seq_++, std::move(packet)};
+  if (fifo_.empty() || !(release < fifo_.back().release)) {
+    RDSIM_INVARIANT(fifo_.empty() || fifo_.back() < s,
+                    "netem FIFO lane must stay sorted by (release, seq)");
+    fifo_.push(std::move(s));
+    return;
+  }
+  heap_.push_back(std::move(s));
+  std::push_heap(heap_.begin(), heap_.end(), ScheduledAfter{});
   // tfifo ordering: the heap root must be the earliest pending release.
-  RDSIM_INVARIANT(!(release < queue_.front().release),
+  RDSIM_INVARIANT(!(release < heap_.front().release),
                   "netem heap root must be the earliest (release, seq)");
+}
+
+NetemQdisc::Scheduled NetemQdisc::pop_heap_root() {
+  std::pop_heap(heap_.begin(), heap_.end(), ScheduledAfter{});
+  Scheduled s = std::move(heap_.back());
+  heap_.pop_back();
+  return s;
 }
 
 void NetemQdisc::dequeue_ready(util::TimePoint now, PacketSink& sink) {
   std::size_t n = 0;
   util::TimePoint last_release{};
-  while (!queue_.empty() && queue_.front().release <= now) {
-    std::pop_heap(queue_.begin(), queue_.end(), ScheduledAfter{});
-    Scheduled s = std::move(queue_.back());
-    queue_.pop_back();
+  for (;;) {
+    // Merge the two sorted lanes: take whichever head is earlier.
+    const bool from_heap = heap_first();
+    if (from_heap ? now < heap_.front().release
+                  : fifo_.empty() || now < fifo_.front().release) {
+      break;
+    }
+    Scheduled s = from_heap ? pop_heap_root() : fifo_.pop();
     RDSIM_INVARIANT(n == 0 || !(s.release < last_release),
                     "netem must release packets in non-decreasing time order");
     last_release = s.release;
@@ -312,14 +329,14 @@ void NetemQdisc::dequeue_ready(util::TimePoint now, PacketSink& sink) {
   }
   if (n > 0) {
     RDSIM_OBS_COUNT(obs::metric::kNetemDequeued, n);
-    RDSIM_OBS_GAUGE_SET(obs::metric::kNetemDepth,
-                        static_cast<double>(queue_.size()));
+    RDSIM_OBS_GAUGE_SET(obs::metric::kNetemDepth, static_cast<double>(backlog()));
   }
 }
 
 std::optional<util::TimePoint> NetemQdisc::next_event_at() const {
-  if (queue_.empty()) return std::nullopt;
-  return queue_.front().release;
+  if (heap_first()) return heap_.front().release;
+  if (fifo_.empty()) return std::nullopt;
+  return fifo_.front().release;
 }
 
 }  // namespace rdsim::net

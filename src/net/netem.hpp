@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/qdisc.hpp"
+#include "util/drain_queue.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 #include "util/units.hpp"
@@ -116,10 +117,11 @@ class NetemQdisc final : public Qdisc {
   void enqueue(Packet packet, util::TimePoint now) override;
   void dequeue_ready(util::TimePoint now, PacketSink& sink) override;
   std::optional<util::TimePoint> next_event_at() const override;
-  std::size_t backlog() const override { return queue_.size(); }
+  std::size_t backlog() const override { return fifo_.size() + heap_.size(); }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
   void clear() override {
-    queue_.clear();
+    fifo_.clear();
+    heap_.clear();
     backlog_bytes_ = 0;
   }
   const QdiscStats& stats() const override { return stats_; }
@@ -149,14 +151,26 @@ class NetemQdisc final : public Qdisc {
   };
 
   void schedule(Packet packet, util::TimePoint release);
+  /// True when the heap holds the earliest pending (release, seq).
+  bool heap_first() const {
+    return !heap_.empty() && (fifo_.empty() || heap_.front() < fifo_.front());
+  }
+  Scheduled pop_heap_root();
 
   NetemConfig config_;
   util::Random rng_;
-  /// Timer structure: binary min-heap on (release, seq). The seq tie-break
-  /// makes the pop order identical to the kernel's tfifo (stable FIFO among
-  /// equal release times) and to the sorted-vector implementation this
-  /// replaced — O(log n) insertion instead of O(n).
-  std::vector<Scheduled> queue_;
+  /// Timer structure, two lanes, each sorted by (release, seq); the seq
+  /// tie-break makes the merged pop order the kernel's tfifo order (stable
+  /// FIFO among equal release times).
+  ///
+  /// The FIFO lane takes every packet releasing no earlier than the lane's
+  /// tail. Under a constant delay (the paper's faults) or the rate shaper,
+  /// release times rise with enqueue order, so every packet lands here in
+  /// O(1) and leaves in O(1).
+  util::DrainQueue<Scheduled> fifo_;
+  /// Binary min-heap for the rest: jitter, reordered packets, and packets
+  /// enqueued after a change() to a shorter delay.
+  std::vector<Scheduled> heap_;
   std::uint64_t backlog_bytes_{0};
   std::uint64_t seq_{0};
   std::uint64_t since_reorder_{0};

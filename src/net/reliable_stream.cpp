@@ -34,11 +34,8 @@ ReliableStream::ReliableStream(PacketRouter& router, Channel& channel,
       channel_{&channel},
       stream_id_{stream_id},
       data_dir_{data_direction},
-      config_{config},
-      rto_{compute_rto(0)} {
-  router_->register_stream(
-      stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
-                         util::TimePoint now) { on_packet(h, body, via, now); });
+      config_{config} {
+  router_->register_stream(stream_id_, *this);
 }
 
 std::uint32_t ReliableStream::send_message(Payload bytes, std::uint32_t declared_wire_size,
@@ -135,18 +132,19 @@ void ReliableStream::step(util::TimePoint now) {
   // expiry we resend the head plus a small batch of other stale segments —
   // the practical effect of SACK-based recovery resuming after a timeout.
   if (!window_.empty()) {
-    if (now - window_.front().last_sent >= rto_) {
+    const util::Duration timeout = rto();
+    if (now - window_.front().last_sent >= timeout) {
       int budget = 4;
       for (InFlight& entry : window_) {
         if (budget == 0) break;
-        if (now - entry.last_sent < rto_) continue;
+        if (now - entry.last_sent < timeout) continue;
         transmit_segment(entry, now, /*retransmission=*/true);
         --budget;
       }
       ++stats_.retransmits_rto;
       RDSIM_OBS_COUNT(obs::metric::kStreamRtoEvents, 1);
       rto_backoff_ = std::min(rto_backoff_ + 1, 3u);
-      rto_ = compute_rto(rto_backoff_);
+      rto_stale_ = true;
     }
   } else {
     reset_backoff();
@@ -167,10 +165,26 @@ util::Duration ReliableStream::compute_rto(std::uint32_t backoff) const {
   return std::min(base, config_.rto_max);
 }
 
+util::Duration ReliableStream::rto() {
+  if (rto_stale_) {
+    rto_ = compute_rto(rto_backoff_);
+    rto_stale_ = false;
+  }
+  return rto_;
+}
+
+const StreamStats& ReliableStream::stats() const {
+  if (stats_rto_stale_) {
+    stats_.rto = units::Millis::from_duration(compute_rto(sample_backoff_));
+    stats_rto_stale_ = false;
+  }
+  return stats_;
+}
+
 void ReliableStream::reset_backoff() {
   if (rto_backoff_ == 0) return;
   rto_backoff_ = 0;
-  rto_ = compute_rto(0);
+  rto_stale_ = true;
 }
 
 void ReliableStream::update_rtt(util::Duration sample) {
@@ -345,11 +359,12 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
       window_.pop_front();
     }
     if (sampled) {
-      // Reported with the backoff in force when the samples landed, i.e.
-      // before the reset below.
-      rto_ = compute_rto(rto_backoff_);
+      // stats().rto reports the backoff in force when the samples landed,
+      // i.e. before the reset below.
+      rto_stale_ = true;
+      sample_backoff_ = rto_backoff_;
+      stats_rto_stale_ = true;
       stats_.srtt = srtt_;
-      stats_.rto = units::Millis::from_duration(rto_);
     }
     last_cum_ack_ = cum_ack;
     dup_ack_count_ = 0;
@@ -375,7 +390,7 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
   // serial RTOs (this is what keeps sustained-loss links usable).
   if (sack_count > 0 && config_.fast_retransmit) {
     const std::uint32_t max_sack = *std::max_element(sacks_begin, sacks_end);
-    const util::Duration hold_off = rto_ / 2;
+    const util::Duration hold_off = rto() / 2;
     int budget = 4;
     for (InFlight& entry : window_) {
       const std::uint32_t seq = entry.segment.seq;

@@ -77,7 +77,7 @@ struct StreamStats {
 /// One reliable stream. A single object serves both halves because the whole
 /// experiment runs in-process; the DATA direction is fixed at construction
 /// and ACKs flow the opposite way through the same faulted channel.
-class ReliableStream {
+class ReliableStream final : private PacketEndpoint {
  public:
   ReliableStream(PacketRouter& router, Channel& channel, std::uint16_t stream_id,
                  LinkDirection data_direction, StreamConfig config = {});
@@ -95,7 +95,9 @@ class ReliableStream {
   /// Next in-order message, if any has completed.
   std::optional<DeliveredMessage> pop_delivered();
 
-  const StreamStats& stats() const { return stats_; }
+  /// Cumulative counters. `rto` is the timeout in force when the last RTT
+  /// sample landed, derived here on read rather than on every sample.
+  const StreamStats& stats() const;
   std::size_t unacked_segments() const { return window_.size(); }
   std::size_t send_backlog() const { return send_queue_.size(); }
   const StreamConfig& config() const { return config_; }
@@ -147,7 +149,7 @@ class ReliableStream {
   };
 
   void on_packet(const ProtocolHeader& header, ByteReader body, LinkDirection via,
-                 util::TimePoint now);
+                 util::TimePoint now) override;
   void on_data(ByteReader body, util::TimePoint now);
   void absorb(const SegmentHeader& header, std::span<const std::uint8_t> chunk,
               util::TimePoint now);
@@ -157,6 +159,9 @@ class ReliableStream {
   void send_ack(util::TimePoint now);
   void update_rtt(util::Duration sample);
   void reset_backoff();
+  /// compute_rto(rto_backoff_), recomputed only after the RTT estimate or
+  /// the backoff changed.
+  util::Duration rto();
   util::Duration compute_rto(std::uint32_t backoff) const;
   static void encode_data(ByteWriter& w, const SegmentHeader& seg,
                           std::span<const std::uint8_t> chunk);
@@ -185,9 +190,13 @@ class ReliableStream {
   units::Millis srtt_{};
   units::Millis rttvar_{};
   bool rtt_valid_{false};
-  /// compute_rto(rto_backoff_), refreshed whenever the RTT estimate or the
-  /// backoff changes.
+  /// Cache of compute_rto(rto_backoff_); stale once the RTT estimate or the
+  /// backoff has changed since it was computed.
   util::Duration rto_{};
+  bool rto_stale_{true};
+  /// The backoff in force when the last RTT sample landed: stats().rto is
+  /// compute_rto of it (srtt and rttvar only change on a sample).
+  std::uint32_t sample_backoff_{0};
 
   // Receiver state.
   std::uint32_t rcv_next_{0};  ///< next expected seq
@@ -209,7 +218,9 @@ class ReliableStream {
   util::TimePoint hol_begin_{};
 #endif
 
-  StreamStats stats_;
+  /// `rto` is filled in lazily by stats(), hence mutable.
+  mutable StreamStats stats_;
+  mutable bool stats_rto_stale_{false};
 };
 
 }  // namespace rdsim::net

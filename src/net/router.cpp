@@ -30,18 +30,18 @@ std::optional<PacketView> open_packet_view(const Payload& packet_payload) {
   return view;
 }
 
-PacketRouter::Handler* PacketRouter::handler_for(std::uint16_t stream_id) {
-  for (auto& [id, handler] : handlers_) {
-    if (id == stream_id) return &handler;
+PacketEndpoint** PacketRouter::endpoint_for(std::uint16_t stream_id) {
+  for (auto& [id, endpoint] : endpoints_) {
+    if (id == stream_id) return &endpoint;
   }
   return nullptr;
 }
 
-void PacketRouter::register_stream(std::uint16_t stream_id, Handler handler) {
-  if (Handler* existing = handler_for(stream_id)) {
-    *existing = std::move(handler);
+void PacketRouter::register_stream(std::uint16_t stream_id, PacketEndpoint& endpoint) {
+  if (PacketEndpoint** existing = endpoint_for(stream_id)) {
+    *existing = &endpoint;
   } else {
-    handlers_.emplace_back(stream_id, std::move(handler));
+    endpoints_.emplace_back(stream_id, &endpoint);
   }
 }
 
@@ -57,8 +57,8 @@ void PacketRouter::drain(LinkDirection dir, util::TimePoint now) {
         packet->corrupted ? std::nullopt : open_packet_view(packet->payload);
     if (!view) {
       ++checksum_failures_;
-    } else if (Handler* handler = handler_for(view->header.stream_id)) {
-      (*handler)(view->header, view->body, dir, now);
+    } else if (PacketEndpoint** endpoint = endpoint_for(view->header.stream_id)) {
+      (*endpoint)->on_packet(view->header, view->body, dir, now);
     } else {
       ++unroutable_;
     }

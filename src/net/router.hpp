@@ -14,14 +14,14 @@
 // four bytes, which keeps wire sizes, and netem's choice of which byte to
 // flip, unchanged.
 //
-// Parsing is zero-copy: handlers receive a bounds-checked ByteReader view
+// Parsing is zero-copy: endpoints receive a bounds-checked ByteReader view
 // into the packet payload instead of an owning copy of the body, and the
 // router hands the payload buffer back to the channel's pool after the
-// handler returns.
+// endpoint returns. Dispatch is one virtual call on a PacketEndpoint, which
+// the transports (ReliableStream, DatagramSocket) implement.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -58,18 +58,30 @@ struct PacketView {
 /// Parse without copying; nullopt on truncation or an unknown type.
 std::optional<PacketView> open_packet_view(const Payload& packet_payload);
 
+/// Receiver of the packets routed to one stream id. The router keeps the
+/// endpoint's address, so endpoints are neither copied nor moved.
+class PacketEndpoint {
+ public:
+  /// `body` views the packet payload and is only valid during the call;
+  /// endpoints copy out whatever must outlive it.
+  virtual void on_packet(const ProtocolHeader& header, ByteReader body,
+                         LinkDirection arrived_via, util::TimePoint now) = 0;
+
+ protected:
+  PacketEndpoint() = default;
+  PacketEndpoint(const PacketEndpoint&) = delete;
+  PacketEndpoint& operator=(const PacketEndpoint&) = delete;
+  ~PacketEndpoint() = default;
+};
+
 /// Polls a channel and routes intact packets to registered streams.
 class PacketRouter {
  public:
   explicit PacketRouter(Channel& channel) : channel_{&channel} {}
 
-  /// `body` views the packet payload and is only valid during the call;
-  /// handlers copy out whatever must outlive it.
-  using Handler = std::function<void(const ProtocolHeader&, ByteReader body,
-                                     LinkDirection arrived_via, util::TimePoint now)>;
-
-  /// Registering a stream id again replaces its handler.
-  void register_stream(std::uint16_t stream_id, Handler handler);
+  /// Route `stream_id` to `endpoint`, which must outlive its registration.
+  /// Registering a stream id again replaces its endpoint.
+  void register_stream(std::uint16_t stream_id, PacketEndpoint& endpoint);
 
   /// Steps the channel, then drains both inboxes. Corrupted packets (the
   /// modelled checksum failure) and malformed ones are counted and dropped.
@@ -82,11 +94,11 @@ class PacketRouter {
 
  private:
   void drain(LinkDirection dir, util::TimePoint now);
-  Handler* handler_for(std::uint16_t stream_id);
+  PacketEndpoint** endpoint_for(std::uint16_t stream_id);
 
   Channel* channel_;
-  /// (stream id, handler), scanned linearly: a session registers two.
-  std::vector<std::pair<std::uint16_t, Handler>> handlers_;
+  /// (stream id, endpoint), scanned linearly: a session registers two.
+  std::vector<std::pair<std::uint16_t, PacketEndpoint*>> endpoints_;
   std::uint64_t checksum_failures_{0};
   std::uint64_t unroutable_{0};
 };

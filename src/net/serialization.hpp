@@ -5,6 +5,7 @@
 // because the corrupt qdisc can hand us damaged bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -14,6 +15,11 @@
 
 namespace rdsim::net {
 
+/// Writes through a cursor into storage that is already sized: each field
+/// is one memcpy, and the buffer only grows (geometrically) when a write
+/// would pass its end. A leased buffer is sized to its whole capacity up
+/// front, so framing a packet into a pooled buffer never reallocates; the
+/// unwritten tail is trimmed off by data() and take().
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -21,10 +27,13 @@ class ByteWriter {
   /// Reuse a leased buffer (e.g. from a PayloadPool): keeps its capacity,
   /// starts writing from offset zero.
   explicit ByteWriter(std::vector<std::uint8_t>&& reuse) : buf_{std::move(reuse)} {
-    buf_.clear();
+    buf_.resize(buf_.capacity());
   }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) {
+    if (pos_ == buf_.size()) grow(1);
+    buf_[pos_++] = v;
+  }
   void u16(std::uint16_t v) { append(&v, sizeof v); }
   void u32(std::uint32_t v) { append(&v, sizeof v); }
   void u64(std::uint64_t v) { append(&v, sizeof v); }
@@ -42,16 +51,41 @@ class ByteWriter {
   /// Append raw bytes without a length prefix.
   void raw(const std::uint8_t* p, std::size_t n) { append(p, n); }
 
-  const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
+  /// The bytes written so far (the buffer, trimmed to the cursor).
+  const std::vector<std::uint8_t>& data() {
+    buf_.resize(pos_);
+    return buf_;
+  }
+  /// Hand over the bytes written so far; the writer is left empty.
+  std::vector<std::uint8_t> take() {
+    buf_.resize(pos_);
+    pos_ = 0;
+    return std::move(buf_);
+  }
+  std::size_t size() const { return pos_; }
 
  private:
   void append(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (n == 0) return;  // p may be null for an empty blob
+    if (buf_.size() - pos_ < n) grow(n);
+    std::memcpy(buf_.data() + pos_, p, n);
+    pos_ += n;
   }
+  /// Make room for `n` more bytes past the cursor: first the capacity left
+  /// by a trim, then at least double it. Kept out of line: it is the cold
+  /// path, and inlined into every field write it also trips a false GCC 12
+  /// -O3 -Wmaybe-uninitialized in code that merely shares a unit with one.
+  [[gnu::noinline]] void grow(std::size_t n) {
+    const std::size_t need = pos_ + n;
+    buf_.resize(need <= buf_.capacity()
+                    ? buf_.capacity()
+                    : std::max({need, 2 * buf_.capacity(), kMinGrowth}));
+  }
+
+  static constexpr std::size_t kMinGrowth = 64;
+
   std::vector<std::uint8_t> buf_;
+  std::size_t pos_{0};  ///< write cursor; buf_[pos_, size) is unwritten
 };
 
 class ByteReader {

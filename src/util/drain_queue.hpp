@@ -22,6 +22,16 @@ class DrainQueue {
 
   void push(T&& value) { items_.push_back(std::move(value)); }
 
+  /// Oldest and newest element. Precondition: !empty().
+  const T& front() const { return items_[head_]; }
+  const T& back() const { return items_.back(); }
+
+  /// Drop every element; the storage keeps its capacity.
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
   /// Remove and return the oldest element. Precondition: !empty().
   T pop() {
     T out = std::move(items_[head_++]);

@@ -1,9 +1,10 @@
 // Test-only conveniences over the net layer's primary, allocation-free APIs:
 // frame a packet from a finished body, drain a qdisc into a vector (through
-// VectorSink), and send an owned payload on a channel. The library keeps one
-// path for each: ProtocolHeader::begin/finish framing in place,
-// Qdisc::dequeue_ready into a PacketSink, and Channel::send(dir, Packet&&,
-// now).
+// VectorSink), send an owned payload on a channel, and record what the
+// router dispatches (RecordingEndpoint). The library keeps one path for
+// each: ProtocolHeader::begin/finish framing in place, Qdisc::dequeue_ready
+// into a PacketSink, Channel::send(dir, Packet&&, now), and the transports'
+// own PacketEndpoint implementations.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,25 @@ class VectorSink final : public PacketSink {
 
  private:
   std::vector<Packet>* out_;
+};
+
+/// PacketEndpoint that keeps a copy of every packet routed to it.
+class RecordingEndpoint final : public PacketEndpoint {
+ public:
+  struct Received {
+    ProtocolHeader header;
+    Payload body;
+    LinkDirection via;
+  };
+
+  void on_packet(const ProtocolHeader& header, ByteReader body, LinkDirection via,
+                 util::TimePoint /*now*/) override {
+    Payload bytes(body.remaining());
+    for (auto& b : bytes) b = body.u8();
+    received.push_back({header, std::move(bytes), via});
+  }
+
+  std::vector<Received> received;
 };
 
 /// Header + body as one packet payload, byte-identical to framing in place.

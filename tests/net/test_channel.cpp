@@ -91,19 +91,45 @@ TEST(PacketRouter, RoutesByStreamId) {
   TrafficControl tc;
   Channel ch{tc, "lo"};
   PacketRouter router{ch};
-  int got_a = 0;
-  int got_b = 0;
-  router.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection,
-                                TimePoint) { ++got_a; });
-  router.register_stream(2, [&](const ProtocolHeader&, ByteReader, LinkDirection,
-                                TimePoint) { ++got_b; });
+  RecordingEndpoint a;
+  RecordingEndpoint b;
+  router.register_stream(1, a);
+  router.register_stream(2, b);
   send(ch, LinkDirection::kDownlink, seal(1, SegmentType::kData, {1}), 10, TimePoint{});
-  send(ch, LinkDirection::kUplink, seal(2, SegmentType::kData, {2}), 10, TimePoint{});
+  send(ch, LinkDirection::kUplink, seal(2, SegmentType::kAck, {2}), 10, TimePoint{});
   send(ch, LinkDirection::kDownlink, seal(9, SegmentType::kData, {3}), 10, TimePoint{});
   router.poll(TimePoint{});
-  EXPECT_EQ(got_a, 1);
-  EXPECT_EQ(got_b, 1);
+  ASSERT_EQ(a.received.size(), 1u);
+  EXPECT_EQ(a.received[0].header.stream_id, 1);
+  EXPECT_EQ(a.received[0].header.type, SegmentType::kData);
+  EXPECT_EQ(a.received[0].body, Payload{1});
+  EXPECT_EQ(a.received[0].via, LinkDirection::kDownlink);
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].header.type, SegmentType::kAck);
+  EXPECT_EQ(b.received[0].body, Payload{2});
+  EXPECT_EQ(b.received[0].via, LinkDirection::kUplink);
   EXPECT_EQ(router.unroutable(), 1u);
+}
+
+TEST(PacketRouter, ReRegistrationReplacesTheEndpoint) {
+  TrafficControl tc;
+  Channel ch{tc, "lo"};
+  PacketRouter router{ch};
+  RecordingEndpoint first;
+  RecordingEndpoint second;
+  router.register_stream(1, first);
+  send(ch, LinkDirection::kDownlink, seal(1, SegmentType::kData, {1}), 10, TimePoint{});
+  router.poll(TimePoint{});
+  router.register_stream(1, second);
+  send(ch, LinkDirection::kDownlink, seal(1, SegmentType::kData, {2}), 10, TimePoint{});
+  send(ch, LinkDirection::kDownlink, seal(1, SegmentType::kData, {3}), 10, TimePoint{});
+  router.poll(TimePoint{});
+  ASSERT_EQ(first.received.size(), 1u);
+  EXPECT_EQ(first.received[0].body, Payload{1});
+  ASSERT_EQ(second.received.size(), 2u) << "the stream id routes only to its newest endpoint";
+  EXPECT_EQ(second.received[0].body, Payload{2});
+  EXPECT_EQ(second.received[1].body, Payload{3});
+  EXPECT_EQ(router.unroutable(), 0u);
 }
 
 /// The body of corruption-test packet `i`: distinct per packet, so a
@@ -165,19 +191,18 @@ TEST(PacketRouter, DropsCorruptedPacketsLikeTcpChecksum) {
     TrafficControl tc{seed};
     Channel ch{tc, "lo"};
     PacketRouter router{ch};
-    std::vector<Payload> delivered;
-    router.register_stream(1, [&](const ProtocolHeader& h, ByteReader body, LinkDirection,
-                                  TimePoint) {
-      EXPECT_EQ(h.type, SegmentType::kData);
-      Payload bytes(body.remaining());
-      for (auto& b : bytes) b = body.u8();
-      delivered.push_back(std::move(bytes));
-    });
+    RecordingEndpoint endpoint;
+    router.register_stream(1, endpoint);
     tc.add("lo", corrupt_half);
     for (const Payload& p : sealed) {
       send(ch, LinkDirection::kDownlink, p, 10, TimePoint{});
     }
     router.poll(TimePoint{});
+    std::vector<Payload> delivered;
+    for (const auto& got : endpoint.received) {
+      EXPECT_EQ(got.header.type, SegmentType::kData);
+      delivered.push_back(got.body);
+    }
 
     std::vector<Payload> intact;
     for (int i = 0; i < kPackets; ++i) {

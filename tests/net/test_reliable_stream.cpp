@@ -270,9 +270,10 @@ TEST(ReliableStreamProperties, ReorderDuplicateLossDeliversEveryMessageIntact) {
 
 TEST(ReliableStreamRto, CachedRtoMatchesRfc6298Recomputation) {
   // Scripted RTT samples, an exponential backoff and the cum-ACK reset. The
-  // stream caches its RTO; the reported value and every retransmit instant
-  // must equal RFC 6298 recomputed from scratch (default config: 200 ms
-  // initial and minimum, 2 s maximum, G = 1 ms).
+  // stream recomputes its RTO only when it needs it; the reported value
+  // (read after every tick) and every retransmit instant must equal RFC 6298
+  // recomputed from scratch (default config: 200 ms initial and minimum,
+  // 2 s maximum, G = 1 ms).
   SeededStream s{1, StreamConfig{}};
   const Duration grid = Duration::micros(250);
   double srtt = 0.0;
@@ -282,6 +283,34 @@ TEST(ReliableStreamRto, CachedRtoMatchesRfc6298Recomputation) {
     double rto = std::max(srtt + std::max(4.0 * rttvar, 1.0), 200.0);
     for (int i = 0; i < backoff; ++i) rto *= 2.0;
     return std::min(rto, 2000.0);
+  };
+  auto sample = [&](double r) {
+    if (first) {
+      srtt = r;
+      rttvar = r / 2.0;
+      first = false;
+    } else {
+      rttvar = 0.75 * rttvar + 0.25 * std::fabs(srtt - r);
+      srtt = 0.875 * srtt + 0.125 * r;
+    }
+  };
+  // stats().rto as RFC 6298 gives it at the last RTT sample, with the
+  // backoff in force then; zero before the first sample.
+  double reported = 0.0;
+  auto tick_checked = [&] {
+    s.tick(grid);
+    EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), reported)
+        << "at " << s.now.count_micros() << " us";
+  };
+  // Tick until the window is empty; the sample lands on the last tick.
+  auto until_acked = [&] {
+    while (s.stream.unacked_segments() > 0) {
+      s.tick(grid);
+      if (s.stream.unacked_segments() > 0) {
+        EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), reported)
+            << "at " << s.now.count_micros() << " us";
+      }
+    }
   };
 
   // RTT samples of 2 x the one-way delay: 100, 180 and 60 ms.
@@ -294,30 +323,24 @@ TEST(ReliableStreamRto, CachedRtoMatchesRfc6298Recomputation) {
     }
     s.stream.send_message({1}, 100, s.now);
     s.stream.step(s.now);
-    while (s.stream.unacked_segments() > 0) s.tick(grid);
-
-    const double r = 2.0 * one_way_ms;
-    if (first) {
-      srtt = r;
-      rttvar = r / 2.0;
-      first = false;
-    } else {
-      rttvar = 0.75 * rttvar + 0.25 * std::fabs(srtt - r);
-      srtt = 0.875 * srtt + 0.125 * r;
-    }
+    until_acked();
+    sample(2.0 * one_way_ms);
+    reported = rfc_rto(0);
     EXPECT_DOUBLE_EQ(s.stream.stats().srtt.value(), srtt);
-    EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), rfc_rto(0));
+    EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), reported);
   }
   EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), 326.25);
 
   // Blackhole the link: the timer fires at RTO, then 2x, 4x, then the 2 s cap.
   // RTO retransmit instants, relative to the call.
+  // No RTT sample lands in here, so the reported RTO must not move while the
+  // timer backs off.
   auto rto_instants = [&](int count) {
     std::vector<double> at_ms;
     const TimePoint start = s.now;
     std::uint64_t seen = s.stream.stats().retransmits_rto;
     while (static_cast<int>(at_ms.size()) < count) {
-      s.tick(grid);
+      tick_checked();
       if (s.stream.stats().retransmits_rto != seen) {
         seen = s.stream.stats().retransmits_rto;
         at_ms.push_back((s.now - start).to_millis());
@@ -341,7 +364,7 @@ TEST(ReliableStreamRto, CachedRtoMatchesRfc6298Recomputation) {
   const std::vector<double> healed = rto_instants(1);
   EXPECT_DOUBLE_EQ(healed[0], rfc_rto(3));
   EXPECT_DOUBLE_EQ(rfc_rto(3), 2000.0);
-  while (s.stream.unacked_segments() > 0) s.tick(grid);
+  while (s.stream.unacked_segments() > 0) tick_checked();
   EXPECT_DOUBLE_EQ(s.stream.stats().rto.value(), rfc_rto(0));
 
   // After the reset a fresh segment's timer runs at the un-backed-off RTO.
@@ -350,6 +373,40 @@ TEST(ReliableStreamRto, CachedRtoMatchesRfc6298Recomputation) {
   s.stream.step(s.now);
   EXPECT_DOUBLE_EQ(rto_instants(1)[0], rfc_rto(0));
   EXPECT_EQ(s.stream.stats().retransmits_fast, 0u);
+
+  // A sample under backoff: the timer has fired once for message 3 when the
+  // link heals; 100 ms later message 4 goes out, late enough that the next
+  // (doubled) RTO, which recovers message 3, does not resend it. The ACK
+  // that covers both samples message 4's RTT with backoff 2 in force, and
+  // stats().rto reports that backoff although the same ACK resets it.
+  const std::uint64_t fires_before = s.stream.stats().retransmits_rto - 1;
+  s.tc.change("lo", parse_netem("delay 30ms"));
+  for (int i = 0; i < 400; ++i) tick_checked();
+  const TimePoint sent_4 = s.now;
+  s.stream.send_message({4}, 100, s.now);
+  s.stream.step(s.now);
+  until_acked();
+  const auto backoff =
+      static_cast<int>(s.stream.stats().retransmits_rto - fires_before);
+  ASSERT_EQ(backoff, 2);
+  sample((s.now - sent_4).to_millis());
+  reported = rfc_rto(backoff);
+  EXPECT_DOUBLE_EQ(s.stream.stats().srtt.value(), srtt);
+  EXPECT_NEAR(s.stream.stats().rto.value(), reported, 1e-3);
+  EXPECT_GT(reported, rfc_rto(0)) << "the sample must be taken under backoff";
+
+  // The reset applies to the timer: the next segment's first RTO fires at
+  // the un-backed-off value for the new estimate (to the tick grid).
+  s.tc.change("lo", parse_netem("delay 30ms loss 100%"));
+  s.stream.send_message({5}, 100, s.now);
+  s.stream.step(s.now);
+  const TimePoint start = s.now;
+  const std::uint64_t seen = s.stream.stats().retransmits_rto;
+  while (s.stream.stats().retransmits_rto == seen) {
+    s.tick(grid);
+    EXPECT_NEAR(s.stream.stats().rto.value(), reported, 1e-3);
+  }
+  EXPECT_NEAR((s.now - start).to_millis(), rfc_rto(0), grid.to_millis());
 }
 
 }  // namespace

@@ -65,6 +65,61 @@ TEST(ByteReader, EmptyStringAndBytes) {
   EXPECT_TRUE(r.ok());
 }
 
+TEST(ByteWriter, LeasedBufferIsWrittenInPlaceAndTrimmed) {
+  // A leased buffer with stale bytes: the writer overwrites from offset
+  // zero without reallocating, and data()/take() expose only what it wrote.
+  Payload lease(16, 0xEE);
+  const std::uint8_t* storage = lease.data();
+  ByteWriter w{std::move(lease)};
+  EXPECT_EQ(w.size(), 0u);
+  w.u8(0x01);
+  w.u16(0x0302);
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.data(), (Payload{0x01, 0x02, 0x03}));
+  // Writing on after data() continues at the cursor.
+  w.u32(0x07060504);
+  const Payload out = w.take();
+  EXPECT_EQ(out, (Payload{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(out.data(), storage) << "a write within the lease must not reallocate";
+  EXPECT_EQ(w.size(), 0u);
+}
+
+TEST(ByteWriter, GrowsPastTheLeasedCapacity) {
+  Payload lease;
+  lease.reserve(8);
+  ByteWriter w{std::move(lease)};
+  Payload expected;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    w.u32(0x01010101u * i);
+    for (int b = 0; b < 4; ++b) expected.push_back(static_cast<std::uint8_t>(i));
+  }
+  Payload blob(100);
+  for (std::size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<std::uint8_t>(i * 3);
+  w.raw(blob.data(), blob.size());
+  expected.insert(expected.end(), blob.begin(), blob.end());
+  w.raw(nullptr, 0);  // an empty chunk writes nothing
+  EXPECT_EQ(w.size(), expected.size());
+  EXPECT_EQ(w.data(), expected);
+  EXPECT_EQ(w.take(), expected);
+}
+
+TEST(ByteWriter, U8PathGrowsAnEmptyWriter) {
+  ByteWriter w;
+  Payload expected;
+  for (int i = 0; i < 300; ++i) {
+    w.u8(static_cast<std::uint8_t>(i * 7));
+    expected.push_back(static_cast<std::uint8_t>(i * 7));
+    if (i == 150) {
+      EXPECT_EQ(w.data(), expected);  // trimming mid-stream keeps the cursor
+    }
+  }
+  EXPECT_EQ(w.size(), 300u);
+  EXPECT_EQ(w.take(), expected);
+  // A taken-from writer starts over.
+  w.u8(9);
+  EXPECT_EQ(w.take(), Payload{9});
+}
+
 // ----- randomized round-trip (fuzz-style, seeded => reproducible) -----
 
 // One randomly typed field. The same schedule drives the writer, the reader

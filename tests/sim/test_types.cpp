@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/types.hpp"
 
 namespace rdsim::sim {
@@ -34,9 +36,15 @@ TEST(BoundingBox, CornersAxisAligned) {
 }
 
 struct OverlapCase {
+  const char* name;
   double dx, dy, heading_b;
   bool expect_overlap;
 };
+
+// gtest_discover_tests names each case after its printed value. gtest's
+// default printer dumps the struct's raw bytes, padding included, which
+// differ from build to build; print the case's name instead.
+void PrintTo(const OverlapCase& c, std::ostream* os) { *os << c.name; }
 
 class BoxOverlapTest : public ::testing::TestWithParam<OverlapCase> {};
 
@@ -52,18 +60,17 @@ TEST_P(BoxOverlapTest, Sat) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, BoxOverlapTest,
     ::testing::Values(
-        OverlapCase{0.0, 0.0, 0.0, true},     // coincident
-        OverlapCase{4.5, 0.0, 0.0, true},     // nose-to-tail touching
-        OverlapCase{4.7, 0.0, 0.0, false},    // just clear ahead
-        OverlapCase{0.0, 1.8, 0.0, true},     // side-by-side overlapping
-        OverlapCase{0.0, 2.0, 0.0, false},    // side-by-side clear
-        OverlapCase{3.0, 1.5, 0.0, true},     // corner clip
-        OverlapCase{10.0, 10.0, 0.0, false},  // far away
-        OverlapCase{0.0, 2.6, 1.5708, true},  // T-bone within reach
-        OverlapCase{0.0, 3.4, 1.5708, false},  // T-bone clear
-        OverlapCase{3.2, 2.2, 0.7854, true},    // rotated corner reaches in
-        OverlapCase{4.4, 3.2, 0.7854, false}    // rotated but clear
-        ));
+        OverlapCase{"Coincident", 0.0, 0.0, 0.0, true},
+        OverlapCase{"NoseToTailTouching", 4.5, 0.0, 0.0, true},
+        OverlapCase{"JustClearAhead", 4.7, 0.0, 0.0, false},
+        OverlapCase{"SideBySideOverlapping", 0.0, 1.8, 0.0, true},
+        OverlapCase{"SideBySideClear", 0.0, 2.0, 0.0, false},
+        OverlapCase{"CornerClip", 3.0, 1.5, 0.0, true},
+        OverlapCase{"FarAway", 10.0, 10.0, 0.0, false},
+        OverlapCase{"TBoneWithinReach", 0.0, 2.6, 1.5708, true},
+        OverlapCase{"TBoneClear", 0.0, 3.4, 1.5708, false},
+        OverlapCase{"RotatedCornerReachesIn", 3.2, 2.2, 0.7854, true},
+        OverlapCase{"RotatedButClear", 4.4, 3.2, 0.7854, false}));
 
 TEST(Weather, PerceptionNoiseFactor) {
   WeatherConfig clear;
